@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import Error
-from .metric import FiniteMetricSpace, LipschitzPotential, lip_constant
+from .metric import FiniteMetricSpace, LipschitzPotential, _cone_envelope, lip_constant
 from .numerics import Number, coerce
 
 
@@ -59,16 +59,25 @@ def alpha_objective(
             fams.append(tuple(v / f.lip for v in f.values))
         else:
             fams.append(f.values)
+    return _worst_pair_separation(fams, space)
+
+
+def _worst_pair_separation(
+    rows: Sequence[Sequence[Number]], space: FiniteMetricSpace
+) -> Number:
+    """min over pairs of (max over rows of |r(x) - r(y)|) / d(x, y); one on
+    a single-point space, which has no pairs to separate.
+
+    Dividing once per pair gives the max of the per-row quotients, because
+    exact and correctly rounded division are both monotone.
+    """
     best = None
     for i in range(space.n):
         for j in range(i + 1, space.n):
-            d = space.d(i, j)
-            sep = max(abs(vals[i] - vals[j]) / d for vals in fams)
+            sep = max(abs(r[i] - r[j]) for r in rows) / space.d(i, j)
             if best is None or sep < best:
                 best = sep
-    if best is None:  # single-point space: no pairs to separate
-        return coerce(1, space.exact)
-    return best
+    return coerce(1, space.exact) if best is None else best
 
 
 def _report_from_values(
@@ -81,31 +90,13 @@ def _report_from_values(
         rows = [[v / lip_h for v in row] for row in rows]
     functions = tuple(LipschitzPotential.build(row, space) for row in rows)
 
-    lip_hinv = None
-    injective = True
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            sep = max(abs(f.values[i] - f.values[j]) for f in functions)
-            if sep == 0:
-                injective = False
-                break
-            ratio = space.d(i, j) / sep
-            if lip_hinv is None or ratio > lip_hinv:
-                lip_hinv = ratio
-        if not injective:
-            break
-
-    one = coerce(1, space.exact)
-    lip_h_out = one if lip_h > 0 else coerce(0, space.exact)
-    if not injective or lip_hinv is None:
-        return EmbeddingReport(functions, lip_h_out, None, None, coerce(0, space.exact))
-    return EmbeddingReport(
-        functions,
-        lip_h_out,
-        lip_hinv,
-        lip_h_out * lip_hinv,
-        alpha_objective(functions, space),
-    )
+    zero = coerce(0, space.exact)
+    lip_h_out = coerce(1, space.exact) if lip_h > 0 else zero
+    objective = alpha_objective(functions, space) if space.n > 1 else zero
+    if objective == 0:  # the coordinates fail to separate some pair
+        return EmbeddingReport(functions, lip_h_out, None, None, zero)
+    lip_hinv = 1 / objective
+    return EmbeddingReport(functions, lip_h_out, lip_hinv, lip_h_out * lip_hinv, objective)
 
 
 def frechet_embedding(space: FiniteMetricSpace) -> EmbeddingReport:
@@ -124,9 +115,8 @@ def frechet_embedding(space: FiniteMetricSpace) -> EmbeddingReport:
 
 def _envelope_midpoint(values: List[float], space: FiniteMetricSpace) -> List[float]:
     """Midpoint of the upper and lower 1-Lipschitz envelopes of a vector."""
-    n = space.n
-    upper = [min(values[y] + float(space.d(x, y)) for y in range(n)) for x in range(n)]
-    lower = [max(values[y] - float(space.d(x, y)) for y in range(n)) for x in range(n)]
+    upper = [-v for v in _cone_envelope(space.points, [-v for v in values], space)]
+    lower = _cone_envelope(space.points, values, space)
     return [(u + l) / 2.0 for u, l in zip(upper, lower)]
 
 
@@ -170,15 +160,6 @@ def best_embedding_search(
         for j in range(fspace.n)
     ]
 
-    def objective(rows: List[List[float]]) -> float:
-        best = None
-        for i in range(fspace.n):
-            for j in range(i + 1, fspace.n):
-                sep = max(abs(r[i] - r[j]) for r in rows) / float(fspace.d(i, j))
-                if best is None or sep < best:
-                    best = sep
-        return best if best is not None else 1.0
-
     starts: List[List[List[float]]] = []
     starts.append([list(frechet_rows[j]) for j in range(min(n, fspace.n))])
     while len(starts[0]) < n:
@@ -200,7 +181,7 @@ def best_embedding_search(
     per_restart = max(1, iterations // len(starts))
     for fam in starts:
         fam = [_project_unit_ball(row, fspace) for row in fam]
-        val = objective(fam)
+        val = _worst_pair_separation(fam, fspace)
         for _ in range(per_restart):
             k = rng.randrange(n)
             i = rng.randrange(1, fspace.n) if fspace.n > 1 else 0
@@ -209,7 +190,7 @@ def best_embedding_search(
             candidate_row[i] += delta
             candidate_row = _project_unit_ball(candidate_row, fspace)
             candidate = fam[:k] + [candidate_row] + fam[k + 1 :]
-            cand_val = objective(candidate)
+            cand_val = _worst_pair_separation(candidate, fspace)
             if cand_val > val:
                 fam, val = candidate, cand_val
         if val > best_val:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from .metric import FiniteMetricSpace, validate_metric
-from .numerics import EXACT_SIZE_LIMIT
+from .numerics import EXACT_SIZE_LIMIT, coerce
 
 
 def _v2(t: int) -> int:
@@ -216,8 +216,6 @@ class ExoticMetric:
             exact = self.N <= EXACT_SIZE_LIMIT
         if validate:
             return validate_metric(rows, labels, exact=exact)
-        from .numerics import coerce
-
         m = tuple(tuple(coerce(v, exact) for v in row) for row in rows)
         return FiniteMetricSpace(tuple(labels), m, exact)
 

@@ -5,8 +5,10 @@ point, or a CSV square matrix whose header row holds the labels.
 Functional: {"coeffs": {"label": number, ...}}.
 Pair set: {"pairs": [["x", "y"], ...]}.
 
-All emitted numbers are fixed at 12 significant digits and keys keep
-their construction order, so identical runs are byte-identical.
+Emitted numbers are fixed at 12 significant digits, except the distances
+of an exact space, which are written losslessly (integers as numbers,
+other rationals as "p/q" strings).  Keys keep their construction order,
+so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -128,10 +130,16 @@ def jsonable_number(x: Number) -> float:
     return round12(x)
 
 
+def _exact_number(x: Fraction):
+    """An integer as a JSON number, any other rational as a "p/q" string."""
+    return int(x) if x.denominator == 1 else exact_repr(x)
+
+
 def space_doc(space: FiniteMetricSpace) -> Dict:
+    number = _exact_number if space.exact else jsonable_number
     return {
         "labels": list(space.labels),
-        "dist": [[jsonable_number(v) for v in row] for row in space.dist],
+        "dist": [[number(v) for v in row] for row in space.dist],
     }
 
 
@@ -140,7 +148,7 @@ def space_csv(space: FiniteMetricSpace) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(space.labels)
     for row in space.dist:
-        writer.writerow([f"{float(v):.12g}" for v in row])
+        writer.writerow([exact_repr(v) if space.exact else f"{float(v):.12g}" for v in row])
     return buf.getvalue()
 
 

@@ -9,7 +9,7 @@ operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -193,6 +193,18 @@ def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:
             if slope > best:
                 best = slope
     return best
+
+
+def _cone_envelope(
+    anchors: Sequence[int], values: Sequence[Number], space: FiniteMetricSpace
+) -> List[Number]:
+    """[max over k of (values[k] - d(anchors[k], z)) for z in space.points].
+
+    The least 1-Lipschitz function that is at least values[k] at each
+    anchor: a max of distance cones.
+    """
+    rows = [space.dist[a] for a in anchors]
+    return [max(v - row[z] for v, row in zip(values, rows)) for z in space.points]
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,22 @@ turns that into the absence of negative cycles, which Bellman-Ford
 decides with an explicit certificate either way.  For monotone C the dual
 object is an extremal potential: a 1-Lipschitz function with
 f(x) - f(y) = d(x, y) on every pair, built from a chain formula as a
-negated shortest-path distance from a fixed anchor pair.
+negated shortest-path distance from a fixed anchor pair.  Both the check
+and the construction run the same Bellman-Ford core.
+
+In float mode a negative verdict needs a cycle of k pairs whose weight is
+below -k * FLOAT_CYCLE_EPS, and the reported cycle always has slack below
+-FLOAT_CYCLE_EPS; cycles of zero weight up to round-off count as monotone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import Error
-from .metric import FiniteMetricSpace, LipschitzPotential
+from .metric import FiniteMetricSpace, LipschitzPotential, _cone_envelope
 from .numerics import Number, coerce
 
 Pair = Tuple[int, int]
@@ -110,73 +115,16 @@ def cycle_slack(cycle: Sequence[Pair], space: FiniteMetricSpace) -> Number:
     return total
 
 
-def _find_negative_cycle_dp(nodes, weight, space: FiniteMetricSpace, eps):
-    """Extract a strictly negative simple cycle by dynamic programming.
+def _bellman_ford(weight, dist):
+    """Relax every arc of the complete digraph ``weight`` in place, for at
+    most n rounds, stopping early after a round that changes nothing.
 
-    ``tab[k][i][j]`` holds the cheapest walk from i to j with exactly k
-    edges.  The smallest k at which a closed walk goes negative yields a
-    simple cycle (a repeated node would split off a shorter negative or
-    zero closed walk, contradicting minimality).  Fallback for the rare
-    case where the predecessor walk lands on a zero-weight cycle fed by a
-    negative one.
+    Returns (dist, pred, flagged): ``flagged`` is the last node relaxed in
+    round n, or -1 when no arc relaxed there (no negative cycle).  With
+    strict relaxations every cycle of the predecessor graph is negative
+    (CLRS, Lemma 24.16), so walking ``pred`` from ``flagged`` finds one.
     """
-    n = len(nodes)
-    inf = None
-    zero = coerce(0, space.exact)
-    tab = [[[zero if i == j else inf for j in range(n)] for i in range(n)]]
-    for k in range(1, n + 1):
-        prev = tab[k - 1]
-        cur = [[inf] * n for _ in range(n)]
-        for i in range(n):
-            prow = prev[i]
-            crow = cur[i]
-            for t in range(n):
-                d = prow[t]
-                if d is None:
-                    continue
-                wt = weight[t]
-                for j in range(n):
-                    if t == j:
-                        continue
-                    nd = d + wt[j]
-                    if crow[j] is None or nd < crow[j]:
-                        crow[j] = nd
-        tab.append(cur)
-        start = next(
-            (i for i in range(n) if cur[i][i] is not None and cur[i][i] < -eps), None
-        )
-        if start is None:
-            continue
-        # Walk backwards, always via the argmin predecessor of the DP step.
-        seq = [start]
-        v = start
-        for m in range(k, 1, -1):
-            t = min(
-                (t for t in range(n) if t != v and tab[m - 1][start][t] is not None),
-                key=lambda t: (tab[m - 1][start][t] + weight[t][v], t),
-            )
-            seq.append(t)
-            v = t
-        seq.reverse()
-        return tuple(nodes[t] for t in seq)
-    return None
-
-
-def check_cyclically_monotone(C: PairSet, space: FiniteMetricSpace) -> CycleCertificate:
-    """Bellman-Ford negative-cycle detection on the pair graph.
-
-    Checking cycles suffices for all permutations because every finite
-    permutation is a product of disjoint cycles.  A failed verdict carries
-    a violating cycle whose slack is recomputed from the distances.
-    """
-    nodes, weight = pair_graph(C, space)
-    n = len(nodes)
-    if n <= 1:
-        return CycleCertificate(monotone=True)
-    eps = 0 if space.exact else FLOAT_CYCLE_EPS
-
-    zero = coerce(0, space.exact)
-    dist = [zero] * n  # virtual zero-cost super-source
+    n = len(weight)
     pred = [-1] * n
     flagged = -1
     for round_ in range(n):
@@ -195,7 +143,28 @@ def check_cyclically_monotone(C: PairSet, space: FiniteMetricSpace) -> CycleCert
                     if round_ == n - 1:
                         flagged = j
         if not improved:
-            return CycleCertificate(monotone=True)
+            break
+    return dist, pred, flagged
+
+
+def check_cyclically_monotone(C: PairSet, space: FiniteMetricSpace) -> CycleCertificate:
+    """Bellman-Ford negative-cycle detection on the pair graph.
+
+    Checking cycles suffices for all permutations because every finite
+    permutation is a product of disjoint cycles.  A failed verdict carries
+    a violating cycle whose slack is recomputed from the distances.  In
+    float mode every arc weight is first raised by ``FLOAT_CYCLE_EPS``, so
+    that round-off cannot make a zero-weight cycle look negative: a cycle
+    of k pairs counts as violating only when its weight lies below
+    -k * FLOAT_CYCLE_EPS, and a reported cycle always has slack below
+    -FLOAT_CYCLE_EPS.
+    """
+    nodes, weight = pair_graph(C, space)
+    n = len(nodes)
+    if not space.exact:
+        weight = [[w + FLOAT_CYCLE_EPS for w in row] for row in weight]
+
+    _, pred, flagged = _bellman_ford(weight, [coerce(0, space.exact)] * n)
     if flagged < 0:
         return CycleCertificate(monotone=True)
 
@@ -211,16 +180,10 @@ def check_cyclically_monotone(C: PairSet, space: FiniteMetricSpace) -> CycleCert
     cycle_idx.reverse()
     cycle = tuple(nodes[i] for i in cycle_idx)
     slack = cycle_slack(cycle, space)
-    if slack < -eps:
-        return CycleCertificate(monotone=False, cycle=cycle, slack=slack)
-
-    # Degenerate: the walk hit a zero-weight cycle fed by a negative one.
-    fallback = _find_negative_cycle_dp(nodes, weight, space, eps)
-    if fallback is not None:
-        fb_slack = cycle_slack(fallback, space)
-        if fb_slack < -eps:
-            return CycleCertificate(monotone=False, cycle=fallback, slack=fb_slack)
-    return CycleCertificate(monotone=True)
+    eps = 0 if space.exact else FLOAT_CYCLE_EPS
+    if not slack < -eps:
+        raise Error(f"Bellman-Ford returned a cycle with slack {slack}; cannot happen")
+    return CycleCertificate(monotone=False, cycle=cycle, slack=slack)
 
 
 def brute_force_monotone(C: PairSet, space: FiniteMetricSpace) -> bool:
@@ -246,8 +209,9 @@ def build_extremal_potential(C: PairSet, space: FiniteMetricSpace) -> LipschitzP
     The chain value of a walk anchor -> p_1 -> ... -> p_n ending with the
     terminal arc d(x_n, z) - d(x_n, y_n) into a point z is minimized by
     Bellman-Ford (well-defined exactly when there is no negative cycle);
-    its negation, shifted to vanish at the base point, is 1-Lipschitz and
-    attains f(x) - f(y) = d(x, y) on every pair of C.
+    its negation, max over pairs p of d(x_p, y_p) - dist(p) - d(x_p, z),
+    shifted to vanish at the base point, is 1-Lipschitz and attains
+    f(x) - f(y) = d(x, y) on every pair of C.
     """
     if not C.pairs:
         raise EmptySet("cannot build an extremal potential for an empty pair set")
@@ -256,35 +220,15 @@ def build_extremal_potential(C: PairSet, space: FiniteMetricSpace) -> LipschitzP
         raise NotMonotone(certificate)
 
     nodes, weight = pair_graph(C, space)
-    n = len(nodes)
     anchor = 0  # nodes are sorted, so index 0 is the lexicographically least pair
-    inf = None
-    dist: List[Optional[Number]] = [inf] * n
-    dist[anchor] = coerce(0, space.exact)
-    for _ in range(n - 1):
-        improved = False
-        for i in range(n):
-            if dist[i] is None:
-                continue
-            di = dist[i]
-            wi = weight[i]
-            for j in range(n):
-                if i == j:
-                    continue
-                nd = di + wi[j]
-                if dist[j] is None or nd < dist[j]:
-                    dist[j] = nd
-                    improved = True
-        if not improved:
-            break
-
-    raw = []
-    for z in space.points:
-        best = min(
-            dist[p] + space.d(nodes[p][0], z) - space.d(nodes[p][0], nodes[p][1])
-            for p in range(n)
-        )
-        raw.append(-best)
+    # weight[anchor][anchor] == 0, so starting from the anchor's row is the
+    # state right after the anchor's first relaxation from distance 0.
+    dist, _, _ = _bellman_ford(weight, list(weight[anchor]))
+    raw = _cone_envelope(
+        [x for x, _ in nodes],
+        [space.d(x, y) - dist[p] for p, (x, y) in enumerate(nodes)],
+        space,
+    )
     base = raw[0]
     return LipschitzPotential.build([v - base for v in raw], space)
 

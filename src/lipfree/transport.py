@@ -29,6 +29,8 @@ from .metric import (
     Functional,
     LipschitzPotential,
     Molecule,
+    _cone_envelope,
+    functionals_equal,
 )
 from .numerics import Number, coerce
 
@@ -286,10 +288,7 @@ def _dual_potential(
     of 1-Lipschitz functions, so the certificate needs no projection step.
     """
     src = sorted(sources)
-    if not src:
-        return LipschitzPotential.build([coerce(0, space.exact)] * space.n, space)
-    u = {s: -pot[s] for s in src}
-    raw = [max(u[s] - space.d(s, z) for s in src) for z in space.points]
+    raw = _cone_envelope(src, [-pot[s] for s in src], space)
     base = raw[0]
     return LipschitzPotential.build([v - base for v in raw], space)
 
@@ -352,8 +351,6 @@ def norming_functions_check(
     if mu.signed:
         raise SignedMeasure("norming certificates need a positive representation")
     cmp = space.cmp
-    from .metric import functionals_equal
-
     if not functionals_equal(functional_of(mu, space), phi, cmp):
         raise NotARepresentation("measure does not represent the functional")
     if cmp.gt(f.lip, 1):

@@ -1,7 +1,10 @@
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipfree import io as lfio
 from lipfree.instances import line_space, random_space
@@ -64,3 +67,20 @@ def test_space_doc_roundtrips_dyadic_space():
     doc = lfio.space_doc(sp)
     assert doc["labels"] == list(sp.labels)
     assert doc["dist"][0][0] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 10**6))
+def test_exact_space_reloads_losslessly(n, seed):
+    # random_space distances include thirds, which 12 decimal digits
+    # cannot carry
+    sp = random_space(n, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        as_json = Path(tmp) / "s.json"
+        as_csv = Path(tmp) / "s.csv"
+        as_json.write_text(lfio.dumps(lfio.space_doc(sp)))
+        as_csv.write_text(lfio.space_csv(sp))
+        for path in (as_json, as_csv):
+            back = lfio.load_space(str(path))
+            assert back.labels == sp.labels
+            assert back.dist == sp.dist

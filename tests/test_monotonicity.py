@@ -24,6 +24,7 @@ from lipfree.instances import (
     random_pair_set,
     random_space,
 )
+from lipfree.monotonicity import FLOAT_CYCLE_EPS
 
 
 def test_pair_graph_two_cycle_weight():
@@ -99,15 +100,17 @@ def test_brute_force_limits_and_two_cycle():
 def test_checker_agrees_with_bruteforce_exhaustively_small():
     sp = random_space(4, seed=4)
     universe = [(x, y) for x in range(4) for y in range(4) if x != y]
-    for k in (1, 2):
-        for pairs in itertools.combinations(universe, k):
-            C = PairSet.of(pairs, sp)
-            assert check_cyclically_monotone(C, sp).monotone == brute_force_monotone(C, sp)
     rng = random.Random(5)
-    for _ in range(200):
-        pairs = rng.sample(universe, rng.randint(3, 5))
-        C = PairSet.of(pairs, sp)
-        assert check_cyclically_monotone(C, sp).monotone == brute_force_monotone(C, sp)
+    sets = [p for k in (1, 2) for p in itertools.combinations(universe, k)]
+    sets += [rng.sample(universe, rng.randint(3, 5)) for _ in range(200)]
+    # In float mode the thirds in this space give zero-weight cycles up to
+    # round-off next to negative ones.
+    for s, eps in ((sp, 0), (sp.with_mode(exact=False), FLOAT_CYCLE_EPS)):
+        for pairs in sets:
+            C = PairSet.of(pairs, s)
+            cert = check_cyclically_monotone(C, s)
+            assert cert.monotone == brute_force_monotone(C, s)
+            assert cert.monotone or cycle_slack(cert.cycle, s) == cert.slack < -eps
 
 
 def test_certificate_slack_is_sound():

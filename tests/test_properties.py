@@ -134,5 +134,7 @@ def test_checker_matches_bruteforce(data):
     )
     if not pairs:
         return
+    if data.draw(st.booleans()):
+        space = space.with_mode(exact=False)
     C = PairSet.of(pairs, space)
     assert check_cyclically_monotone(C, space).monotone == brute_force_monotone(C, space)

@@ -15,14 +15,14 @@ from lipfree import (
     PairSet,
     brute_force_monotone,
     check_cyclically_monotone,
+    cycle_slack,
     evaluate,
     free_norm,
     is_optimal,
     optimal_coupling,
     validate_metric,
 )
-from lipfree.instances import random_functional
-from lipfree.monotonicity import _find_negative_cycle_dp
+from lipfree.instances import line_space, random_functional
 from lipfree.oracles import transport_cost_by_vertex_enumeration
 
 
@@ -78,39 +78,26 @@ def test_checker_vs_bruteforce_under_ties():
         rng = random.Random(seed)
         for _ in range(30):
             pairs = rng.sample(universe, rng.randint(2, 6))
-            C = PairSet.of(pairs, sp)
-            assert (
-                check_cyclically_monotone(C, sp).monotone
-                == brute_force_monotone(C, sp)
-            )
+            for s in (sp, sp.with_mode(exact=False)):
+                C = PairSet.of(pairs, s)
+                assert (
+                    check_cyclically_monotone(C, s).monotone
+                    == brute_force_monotone(C, s)
+                )
 
 
-def test_dp_fallback_extracts_strictly_negative_cycle():
-    # Synthetic pair graph: a zero-weight 2-cycle (A, B) next to a strictly
-    # negative 2-cycle (C, D).  The extractor must return a cycle whose
-    # weight is strictly negative, never the zero cycle.
-    sp = validate_metric([[0, 1, 1, 1, 1]] + [[1] * i + [0] + [1] * (4 - i) for i in range(1, 5)])
-    nodes = ((0, 1), (1, 2), (2, 3), (3, 4))  # labels only; weights are synthetic
-    Z = F(0)
-    w = [
-        [Z, Z, F(5), F(5)],
-        [Z, Z, F(5), F(5)],
-        [F(5), F(5), Z, F(-1)],
-        [F(5), F(5), Z, Z],
-    ]
-    cycle = _find_negative_cycle_dp(nodes, w, sp, 0)
-    assert cycle is not None
-    idx = [nodes.index(p) for p in cycle]
-    total = sum(w[idx[t]][idx[(t + 1) % len(idx)]] for t in range(len(idx)))
-    assert total < 0
-    assert set(idx) == {2, 3}  # the negative cycle, not the zero one
-
-
-def test_dp_fallback_returns_none_without_negative_cycle():
-    sp = validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    nodes = ((0, 1), (1, 2))
-    w = [[F(0), F(2)], [F(1), F(0)]]
-    assert _find_negative_cycle_dp(nodes, w, sp, 0) is None
+def test_checker_finds_negative_cycle_beside_zero_cycle():
+    # (0,2),(1,3) form a zero-weight 2-cycle; (2,3),(3,2) a 2-cycle of
+    # weight -2.  The certificate must be the strictly negative cycle, and
+    # the zero cycle alone is monotone.
+    sp = line_space([0, 1, 2, 3])
+    pairs = [(0, 2), (1, 3), (2, 3), (3, 2)]
+    cert = check_cyclically_monotone(PairSet.of(pairs, sp), sp)
+    assert cert.monotone is False
+    assert cert.slack < 0
+    assert cycle_slack(cert.cycle, sp) == cert.slack
+    assert set(cert.cycle) <= set(pairs)
+    assert check_cyclically_monotone(PairSet.of(pairs[:3], sp), sp).monotone
 
 
 def test_exhaustive_tiny_functionals_vs_oracle():
