@@ -86,10 +86,11 @@ def test_checker_vs_bruteforce_under_ties():
                 )
 
 
-def test_checker_finds_negative_cycle_beside_zero_cycle():
+def test_dp_fallback_extracts_strictly_negative_cycle():
     # (0,2),(1,3) form a zero-weight 2-cycle; (2,3),(3,2) a 2-cycle of
-    # weight -2.  The certificate must be the strictly negative cycle, and
-    # the zero cycle alone is monotone.
+    # weight -2.  The certificate must be a strictly negative cycle, never
+    # the zero one.  (The name predates the removal of the DP fallback; the
+    # case now runs through the public checker.)
     sp = line_space([0, 1, 2, 3])
     pairs = [(0, 2), (1, 3), (2, 3), (3, 2)]
     cert = check_cyclically_monotone(PairSet.of(pairs, sp), sp)
@@ -97,7 +98,17 @@ def test_checker_finds_negative_cycle_beside_zero_cycle():
     assert cert.slack < 0
     assert cycle_slack(cert.cycle, sp) == cert.slack
     assert set(cert.cycle) <= set(pairs)
-    assert check_cyclically_monotone(PairSet.of(pairs[:3], sp), sp).monotone
+
+
+def test_dp_fallback_returns_none_without_negative_cycle():
+    # Pair sets whose only cycles weigh zero or more are monotone and carry
+    # no cycle: the zero 2-cycle of the test above, and (0,1),(2,3), whose
+    # 2-cycle weighs d(0,3) + d(2,1) - d(0,1) - d(2,3) = 2.
+    sp = line_space([0, 1, 2, 3])
+    for pairs in ([(0, 2), (1, 3), (2, 3)], [(0, 1), (2, 3)]):
+        cert = check_cyclically_monotone(PairSet.of(pairs, sp), sp)
+        assert cert.monotone is True
+        assert cert.cycle is None
 
 
 def test_exhaustive_tiny_functionals_vs_oracle():
