@@ -3,8 +3,9 @@
 Commands: norm, coupling, potential, decompose (transport), check-monotone
 (certification), embed (coordinate families), gen-exotic (metric
 generator), selftest (acceptance suite).  Exit codes: 0 success, 1
-certified negative verdict, 2 input error.  Outputs are byte-deterministic
-for fixed seeds: floats at 12 significant digits, fixed key order.
+certified negative verdict, 2 input error, 3 internal fault.  Outputs are
+byte-deterministic for fixed seeds: floats at 12 significant digits, fixed
+key order.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import List, Optional
 
 from . import io as lfio
 from .embedding import best_embedding_search, frechet_embedding
-from .errors import Error
+from .errors import Error, InternalError
 from .exotic import exotic_metric, gamma_pairs
 from .monotonicity import check_cyclically_monotone
-from .numerics import DEFAULT_TOLERANCE, exact_repr
+from .numerics import DEFAULT_TOLERANCE
 from .transport import molecule_decomposition, optimal_coupling
 
 log = logging.getLogger("lipfree")
@@ -28,6 +29,7 @@ log = logging.getLogger("lipfree")
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest")
     p_self.add_argument("--iters", type=int, default=None,
                         help="cap instance counts per criterion (default: full scale)")
-    p_self.add_argument("--seed", type=int, default=0, help="accepted for symmetry; "
-                        "the suite's seeds are fixed")
 
     return parser
 
@@ -91,35 +91,22 @@ def _load_space(args):
     return lfio.load_space(args.input, exact=exact, tol=args.tolerance)
 
 
-def _cmd_norm(args) -> int:
+#: The keys of ``io.transport_doc`` each transport command prints, in order;
+#: None prints them all.
+_TRANSPORT_KEYS = {
+    "norm": ("value", "value_exact"),
+    "coupling": None,
+    "potential": ("value", "potential", "value_exact"),
+}
+
+
+def _cmd_transport(args) -> int:
     space = _load_space(args)
     phi = lfio.load_functional(args.functional, space)
-    result = optimal_coupling(phi, space)
-    doc = {"value": lfio.jsonable_number(result.value)}
-    if space.exact:
-        doc["value_exact"] = exact_repr(result.value)
-    _emit(lfio.dumps(doc), args.out)
-    return EXIT_OK
-
-
-def _cmd_coupling(args) -> int:
-    space = _load_space(args)
-    phi = lfio.load_functional(args.functional, space)
-    result = optimal_coupling(phi, space)
-    _emit(lfio.dumps(lfio.transport_doc(result, space, exact=space.exact)), args.out)
-    return EXIT_OK
-
-
-def _cmd_potential(args) -> int:
-    space = _load_space(args)
-    phi = lfio.load_functional(args.functional, space)
-    result = optimal_coupling(phi, space)
-    doc = {
-        "value": lfio.jsonable_number(result.value),
-        "potential": lfio.potential_doc(result.potential, space),
-    }
-    if space.exact:
-        doc["value_exact"] = exact_repr(result.value)
+    doc = lfio.transport_doc(optimal_coupling(phi, space), space)
+    keys = _TRANSPORT_KEYS[args.command]
+    if keys is not None:
+        doc = {k: doc[k] for k in keys if k in doc}
     _emit(lfio.dumps(doc), args.out)
     return EXIT_OK
 
@@ -201,9 +188,9 @@ def _cmd_selftest(args) -> int:
 
 
 _DISPATCH = {
-    "norm": _cmd_norm,
-    "coupling": _cmd_coupling,
-    "potential": _cmd_potential,
+    "norm": _cmd_transport,
+    "coupling": _cmd_transport,
+    "potential": _cmd_transport,
     "decompose": _cmd_decompose,
     "check-monotone": _cmd_check_monotone,
     "embed": _cmd_embed,
@@ -221,7 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _DISPATCH[args.command](args)
     except Error as exc:
         sys.stderr.write(lfio.dumps({"error": exc.payload()}))
-        return EXIT_INPUT_ERROR
+        return EXIT_INTERNAL_ERROR if isinstance(exc, InternalError) else EXIT_INPUT_ERROR
     except ValueError as exc:
         sys.stderr.write(lfio.dumps({"error": {"type": "ValueError", "message": str(exc)}}))
         return EXIT_INPUT_ERROR

@@ -84,11 +84,11 @@ def _report_from_values(
     rows: Sequence[Sequence[Number]], space: FiniteMetricSpace
 ) -> EmbeddingReport:
     """Normalize a family to combined Lipschitz constant 1 and measure it."""
-    lips = [lip_constant(row, space) for row in rows]
-    lip_h = max(lips)
-    if lip_h > 0 and lip_h != 1:
-        rows = [[v / lip_h for v in row] for row in rows]
     functions = tuple(LipschitzPotential.build(row, space) for row in rows)
+    lip_h = max(f.lip for f in functions)
+    if lip_h > 0 and lip_h != 1:
+        rows = [[v / lip_h for v in f.values] for f in functions]
+        functions = tuple(LipschitzPotential.build(row, space) for row in rows)
 
     zero = coerce(0, space.exact)
     lip_h_out = coerce(1, space.exact) if lip_h > 0 else zero
@@ -128,7 +128,8 @@ def _project_unit_ball(values: List[float], space: FiniteMetricSpace, rounds: in
         if lip <= 1.0 + 1e-12:
             break
         vals = _envelope_midpoint(vals, space)
-    lip = float(lip_constant(vals, space))
+    else:
+        lip = float(lip_constant(vals, space))
     if lip > 1.0:
         vals = [v / lip for v in vals]
     base = vals[0]

@@ -10,3 +10,7 @@ class Error(Exception):
 
     def payload(self) -> dict:
         return {"type": type(self).__name__, "message": str(self)}
+
+
+class InternalError(Error):
+    """A step that cannot fail on valid input failed: a library fault."""

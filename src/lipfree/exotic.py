@@ -13,9 +13,15 @@ declared horizon N and certifies their defining properties only there:
 
 Level 1 partitions {2, 3, ...} by the binary ruler: p belongs to slot
 n = v2(p-1) + 1, where v2 is the 2-adic valuation.  Level m+1 follows the
-recursive recipe: locate the deepest set containing m+1, descend to the
-deepest level already living inside it, and split that set's tail beyond
-m+1 with the same ruler.
+recursive recipe: locate the deepest set I_{k0,n0} containing m+1 and
+split its tail beyond m+1 with the same ruler.
+
+The recipe's other step, descending to the deepest level already living
+inside I_{k0,n0}, is vacuous for the ruler split.  Suppose some level a in
+(k0, m] had I_{k0,n0} on its chain of parents.  The first level on that
+chain whose parent is I_{k0,n0} splits the whole tail of I_{k0,n0} beyond
+itself, m+1 included, so m+1 would lie in a deeper set, contradicting the
+choice of k0.
 """
 
 from __future__ import annotations
@@ -45,8 +51,6 @@ class _Level:
 
     k0: int
     n0: int
-    k1: int
-    n1: int
     elems: Dict[int, int]
 
 
@@ -58,11 +62,9 @@ class IFamily:
     _levels: Dict[int, _Level] = field(default_factory=dict)
 
     @property
-    def trace(self) -> List[Tuple[int, int, int, int, int]]:
-        """Construction trace: (level, k0, n0, k1, n1) per recursion step."""
-        return [
-            (k, lv.k0, lv.n0, lv.k1, lv.n1) for k, lv in sorted(self._levels.items())
-        ]
+    def trace(self) -> List[Tuple[int, int, int]]:
+        """Construction trace: (level, k0, n0), the level splitting I_{k0,n0}."""
+        return [(k, lv.k0, lv.n0) for k, lv in sorted(self._levels.items())]
 
     def member(self, k: int, n: int, p: int) -> bool:
         """Whether p belongs to I_{k,n}; valid for p up to the horizon."""
@@ -70,13 +72,7 @@ class IFamily:
             raise ValueError("family indices start at 1")
         if not 1 <= p <= self.horizon:
             raise ValueError(f"element {p} outside horizon {self.horizon}")
-        if k == 1:
-            return p >= 2 and _v2(p - 1) + 1 == n
-        level = self._levels.get(k)
-        if level is None:
-            return False
-        t = level.elems.get(p)
-        return t is not None and _v2(t) + 1 == n
+        return self.slot(k, p) == n
 
     def slot(self, k: int, p: int) -> Optional[int]:
         """The n with p in I_{k,n}, or None."""
@@ -101,13 +97,6 @@ class IFamily:
             return ()
         return tuple(sorted(p for p, t in level.elems.items() if _v2(t) + 1 == n))
 
-    def _ancestor_sets(self, k: int):
-        """Chain of sets (a, b) with I_{k, anything} contained in I_{a,b}."""
-        while k >= 2:
-            lv = self._levels[k]
-            yield (lv.k1, lv.n1)
-            k = lv.k1
-
 
 def build_i_family(N: int) -> IFamily:
     """Materialize the family on {1..N}, levels 1..N, with its trace."""
@@ -124,19 +113,10 @@ def build_i_family(N: int) -> IFamily:
             if n is not None:
                 k0, n0 = k, n
                 break
-        # Deepest level whose sets already live inside I_{k0,n0}.  With the
-        # ruler split below each tail is fully partitioned, which forces
-        # k1 = k0 (any level that split I_{k0,n0} would have captured m+1
-        # in a deeper set); the search is kept for non-covering splits.
-        k1, n1 = k0, n0
-        for k in range(m, k0, -1):
-            if (k0, n0) in fam._ancestor_sets(k):
-                k1, n1 = k, 1
-                break
-        # Split the tail of I_{k1,n1} beyond m+1 with the binary ruler.
-        tail = [p for p in fam.members(k1, n1) if p > m_plus_1]
+        # Split the tail of I_{k0,n0} beyond m+1 with the binary ruler.
+        tail = [p for p in fam.members(k0, n0) if p > m_plus_1]
         elems = {p: t for t, p in enumerate(tail, start=1)}
-        fam._levels[m_plus_1] = _Level(k0, n0, k1, n1, elems)
+        fam._levels[m_plus_1] = _Level(k0, n0, elems)
 
     return fam
 

@@ -163,14 +163,14 @@ def measure_doc(mu: PairMeasure, space: FiniteMetricSpace) -> List:
     ]
 
 
-def transport_doc(result: TransportResult, space: FiniteMetricSpace, *, exact: bool) -> Dict:
+def transport_doc(result: TransportResult, space: FiniteMetricSpace) -> Dict:
     doc = {
         "value": jsonable_number(result.value),
         "coupling": measure_doc(result.coupling, space),
         "representation": measure_doc(result.representation, space),
         "potential": potential_doc(result.potential, space),
     }
-    if exact:
+    if space.exact:
         doc["value_exact"] = exact_repr(result.value)
     return doc
 

@@ -10,9 +10,10 @@ f(x) - f(y) = d(x, y) on every pair, built from a chain formula as a
 negated shortest-path distance from a fixed anchor pair.  Both the check
 and the construction run the same Bellman-Ford core.
 
-In float mode a negative verdict needs a cycle of k pairs whose weight is
-below -k * FLOAT_CYCLE_EPS, and the reported cycle always has slack below
--FLOAT_CYCLE_EPS; cycles of zero weight up to round-off count as monotone.
+In float mode, with eps = FLOAT_CYCLE_EPS * max(1, largest distance), a
+negative verdict needs a cycle of k pairs whose weight is below -k * eps,
+and the reported cycle always has slack below -eps; cycles of zero weight
+up to round-off count as monotone.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .errors import Error
+from .errors import Error, InternalError
 from .metric import FiniteMetricSpace, LipschitzPotential, _cone_envelope
 from .numerics import Number, coerce
 
 Pair = Tuple[int, int]
 
-#: Strictness threshold for calling a cycle negative in float mode.
+#: Float-mode cycle threshold per unit of the largest distance (``_cycle_eps``).
 FLOAT_CYCLE_EPS = 1e-12
 
 BRUTE_FORCE_LIMIT = 8
@@ -115,6 +116,12 @@ def cycle_slack(cycle: Sequence[Pair], space: FiniteMetricSpace) -> Number:
     return total
 
 
+def _cycle_eps(space: FiniteMetricSpace) -> Number:
+    """Slack a violating cycle must fall below; in float mode it scales with
+    the distances, as the round-off of their sums does."""
+    return 0 if space.exact else FLOAT_CYCLE_EPS * max(1.0, max(map(max, space.dist)))
+
+
 def _bellman_ford(weight, dist):
     """Relax every arc of the complete digraph ``weight`` in place, for at
     most n rounds, stopping early after a round that changes nothing.
@@ -153,16 +160,17 @@ def check_cyclically_monotone(C: PairSet, space: FiniteMetricSpace) -> CycleCert
     Checking cycles suffices for all permutations because every finite
     permutation is a product of disjoint cycles.  A failed verdict carries
     a violating cycle whose slack is recomputed from the distances.  In
-    float mode every arc weight is first raised by ``FLOAT_CYCLE_EPS``, so
-    that round-off cannot make a zero-weight cycle look negative: a cycle
-    of k pairs counts as violating only when its weight lies below
-    -k * FLOAT_CYCLE_EPS, and a reported cycle always has slack below
-    -FLOAT_CYCLE_EPS.
+    float mode every arc weight is first raised by
+    eps = FLOAT_CYCLE_EPS * max(1, largest distance of the space), so that
+    round-off cannot make a zero-weight cycle look negative at any scale: a
+    cycle of k pairs counts as violating only when its weight lies below
+    -k * eps, and a reported cycle always has slack below -eps.
     """
     nodes, weight = pair_graph(C, space)
     n = len(nodes)
+    eps = _cycle_eps(space)
     if not space.exact:
-        weight = [[w + FLOAT_CYCLE_EPS for w in row] for row in weight]
+        weight = [[w + eps for w in row] for row in weight]
 
     _, pred, flagged = _bellman_ford(weight, [coerce(0, space.exact)] * n)
     if flagged < 0:
@@ -180,9 +188,8 @@ def check_cyclically_monotone(C: PairSet, space: FiniteMetricSpace) -> CycleCert
     cycle_idx.reverse()
     cycle = tuple(nodes[i] for i in cycle_idx)
     slack = cycle_slack(cycle, space)
-    eps = 0 if space.exact else FLOAT_CYCLE_EPS
     if not slack < -eps:
-        raise Error(f"Bellman-Ford returned a cycle with slack {slack}; cannot happen")
+        raise InternalError(f"Bellman-Ford returned a cycle with slack {slack}; cannot happen")
     return CycleCertificate(monotone=False, cycle=cycle, slack=slack)
 
 
@@ -191,7 +198,7 @@ def brute_force_monotone(C: PairSet, space: FiniteMetricSpace) -> bool:
     base = C.deduplicated()
     if len(base) > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"{len(base)} pairs exceeds the brute-force limit of {BRUTE_FORCE_LIMIT}")
-    eps = 0 if space.exact else FLOAT_CYCLE_EPS
+    eps = _cycle_eps(space)
     for k in range(1, len(base) + 1):
         for subset in itertools.combinations(base, k):
             kept = sum(space.d(x, y) for x, y in subset)
@@ -212,18 +219,23 @@ def build_extremal_potential(C: PairSet, space: FiniteMetricSpace) -> LipschitzP
     its negation, max over pairs p of d(x_p, y_p) - dist(p) - d(x_p, z),
     shifted to vanish at the base point, is 1-Lipschitz and attains
     f(x) - f(y) = d(x, y) on every pair of C.
+
+    The pair graph is complete, so that one pass from the anchor also relaxes
+    in its last round exactly when a negative cycle exists.  Only then does
+    ``check_cyclically_monotone`` run: for the ``NotMonotone`` certificate,
+    or in float mode to clear a round-off flag.
     """
     if not C.pairs:
         raise EmptySet("cannot build an extremal potential for an empty pair set")
-    certificate = check_cyclically_monotone(C, space)
-    if not certificate.monotone:
-        raise NotMonotone(certificate)
-
     nodes, weight = pair_graph(C, space)
-    anchor = 0  # nodes are sorted, so index 0 is the lexicographically least pair
-    # weight[anchor][anchor] == 0, so starting from the anchor's row is the
-    # state right after the anchor's first relaxation from distance 0.
-    dist, _, _ = _bellman_ford(weight, list(weight[anchor]))
+    # Nodes are sorted, so index 0 is the lexicographically least pair, and
+    # weight[0][0] == 0, so starting from its row is the state right after
+    # the anchor's first relaxation from distance 0.
+    dist, _, flagged = _bellman_ford(weight, list(weight[0]))
+    if flagged >= 0:
+        certificate = check_cyclically_monotone(C, space)
+        if not certificate.monotone:
+            raise NotMonotone(certificate)
     raw = _cone_envelope(
         [x for x, _ in nodes],
         [space.d(x, y) - dist[p] for p, (x, y) in enumerate(nodes)],

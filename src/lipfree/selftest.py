@@ -533,13 +533,9 @@ ALL_CRITERIA = (
 )
 
 
-def run_acceptance(
-    limit: Optional[int] = None, *, include_cli: bool = True, stream=None
-) -> List[CriterionResult]:
+def run_acceptance(limit: Optional[int] = None, *, stream=None) -> List[CriterionResult]:
     results = []
     for fn in ALL_CRITERIA:
-        if fn is c12_cli_golden and not include_cli:
-            continue
         result = fn(limit)
         results.append(result)
         if stream is not None:

@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
-from .errors import Error
+from .errors import Error, InternalError
 from .metric import (
     FiniteMetricSpace,
     Functional,
@@ -247,7 +247,7 @@ def _solve_min_cost(
             default=None,
         )
         if t0 is None:
-            raise Error("transport network disconnected; cannot happen on a complete bipartite graph")
+            raise InternalError("transport network disconnected; cannot happen on a complete bipartite graph")
 
         # Walk the path back and find the bottleneck.
         path: List[Pair] = []

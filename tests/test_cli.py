@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from lipfree import cli
 from lipfree import io as lfio
+from lipfree.errors import InternalError
 
 LINE_DOC = {"labels": ["0", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
 
@@ -136,6 +138,17 @@ def test_input_errors_exit_two(tmp_path, line_files):
     proc = run_cli("norm", "--input", str(space), "--functional", str(wrong_label))
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"]["type"] == "SchemaMismatch"
+
+
+def test_internal_error_exits_three(monkeypatch, capsys, line_files):
+    space, phi = line_files
+
+    def broken(*args, **kwargs):
+        raise InternalError("solver fault")
+
+    monkeypatch.setattr(cli, "optimal_coupling", broken)
+    assert cli.main(["norm", "--input", str(space), "--functional", str(phi)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InternalError"
 
 
 def test_missing_pair_label_is_schema_error(tmp_path, line_files):

@@ -53,11 +53,22 @@ def test_properties_box(family):
 
 def test_construction_trace_recorded(family):
     trace = family.trace
-    assert trace[0] == (2, 1, 1, 1, 1)
+    assert trace[0] == (2, 1, 1)
     assert len(trace) == 255  # one entry per level 2..256
-    for level, k0, n0, k1, n1 in trace:
-        assert 1 <= k0 <= k1 < level
+    parent = {level: (k0, n0) for level, k0, n0 in trace}
+
+    def chain(a):
+        """The sets containing every I_{a,n}, innermost first."""
+        while a >= 2:
+            a, n = parent[a]
+            yield (a, n)
+
+    for level, k0, n0 in trace:
+        assert 1 <= k0 < level
         assert family.member(k0, n0, level)
+        # No level between k0 and this one lives inside I_{k0,n0}, so the
+        # split set needs no descent.
+        assert all((k0, n0) not in chain(a) for a in range(k0 + 1, level))
 
 
 def test_gamma_properties(family):

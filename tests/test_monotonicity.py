@@ -104,12 +104,20 @@ def test_checker_agrees_with_bruteforce_exhaustively_small():
     sets = [p for k in (1, 2) for p in itertools.combinations(universe, k)]
     sets += [rng.sample(universe, rng.randint(3, 5)) for _ in range(200)]
     # In float mode the thirds in this space give zero-weight cycles up to
-    # round-off next to negative ones.
-    for s, eps in ((sp, 0), (sp.with_mode(exact=False), FLOAT_CYCLE_EPS)):
+    # round-off next to negative ones; scaled up, the round-off outgrows an
+    # absolute threshold.  Each float space is checked against the exact
+    # verdict on the same rational matrix.
+    cases = [(sp, sp), (sp.with_mode(exact=False), sp)]
+    for scale in (10**4, 10**6):
+        rows = [[v * scale for v in row] for row in sp.dist]
+        cases.append((validate_metric(rows, exact=False), validate_metric(rows, exact=True)))
+    for s, truth in cases:
+        eps = 0 if s.exact else FLOAT_CYCLE_EPS * max(1.0, max(map(max, s.dist)))
         for pairs in sets:
             C = PairSet.of(pairs, s)
             cert = check_cyclically_monotone(C, s)
             assert cert.monotone == brute_force_monotone(C, s)
+            assert cert.monotone == check_cyclically_monotone(C, truth).monotone
             assert cert.monotone or cycle_slack(cert.cycle, s) == cert.slack < -eps
 
 
@@ -177,15 +185,17 @@ def test_verify_extremal_rejects_zero_function():
 
 def test_equivalence_monotone_iff_extremal_exists():
     for seed in range(60):
-        sp = random_space(5, seed + 150)
-        C = random_pair_set(sp, seed + 200, size=3)
-        monotone = check_cyclically_monotone(C, sp).monotone
-        try:
-            f = build_extremal_potential(C, sp)
-            built = verify_extremal(f, C, sp)
-        except NotMonotone:
-            built = False
-        assert monotone == built
+        exact = random_space(5, seed + 150)
+        C = random_pair_set(exact, seed + 200, size=3)
+        for sp in (exact, exact.with_mode(exact=False)):
+            cert = check_cyclically_monotone(C, sp)
+            try:
+                f = build_extremal_potential(C, sp)
+                built = verify_extremal(f, C, sp)
+            except NotMonotone as exc:
+                assert exc.certificate == cert
+                built = False
+            assert cert.monotone == built
 
 
 def test_duplicate_pairs_are_deduplicated():
