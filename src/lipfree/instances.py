@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .metric import FiniteMetricSpace, Functional, LipschitzPotential, validate_metric
 from .monotonicity import PairSet
 from .transport import PairMeasure, optimal_coupling
@@ -19,20 +21,17 @@ from .transport import PairMeasure, optimal_coupling
 def random_space(
     n: int, seed: int, *, exact: bool = True, max_weight: int = 12
 ) -> FiniteMetricSpace:
-    """Metric closure of a random weighted complete graph on n points."""
+    """Metric closure of a random weighted complete graph on n points; the
+    weights are multiples of 1/12, so the closure runs on int64 numerators."""
     rng = random.Random(seed)
     dens = (1, 2, 3, 4)
-    w = [[Fraction(0)] * n for _ in range(n)]
+    w = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
-            w[i][j] = w[j][i] = Fraction(rng.randint(1, max_weight), rng.choice(dens))
+            w[i, j] = w[j, i] = rng.randint(1, max_weight) * (12 // rng.choice(dens))
     for k in range(n):
-        for i in range(n):
-            wik = w[i][k]
-            for j in range(n):
-                if w[i][j] > wik + w[k][j]:
-                    w[i][j] = wik + w[k][j]
-    return validate_metric(w, exact=exact)
+        np.minimum(w, w[:, k, None] + w[None, k, :], out=w)
+    return validate_metric([[Fraction(int(v), 12) for v in row] for row in w], exact=exact)
 
 
 def line_space(positions: Sequence, *, exact: bool = True) -> FiniteMetricSpace:

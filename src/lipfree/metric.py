@@ -8,7 +8,9 @@ operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -123,8 +125,10 @@ def validate_metric(
     """Check the four metric axioms and return the validated space.
 
     ``exact=None`` selects exact rational arithmetic for spaces with at
-    most 64 points and floats with absolute tolerance ``tol`` otherwise.
-    The error raised on failure names the violated axiom and a witness.
+    most 64 points and floats otherwise.  Float triangles may fail by up to
+    ``tol * max(1, largest distance)``; other float comparisons use ``tol``.
+    The error raised on failure names the violated axiom and a witness; a
+    triangle witness is the lexicographically first violating (i, j, k).
     """
     n = len(raw)
     if n == 0:
@@ -161,23 +165,30 @@ def validate_metric(
                 raise ZeroOffDiagonal(i, j)
 
     if exact:
-        for i in range(n):
-            for j in range(n):
-                dij = m[i][j]
-                row_j = m[j]
-                for k in range(n):
-                    if m[i][k] > dij + row_j[k]:
-                        raise TriangleViolation(i, j, k)
+        a, threshold = _lattice(m), 0
     else:
         a = np.array(m, dtype=float)
-        for j in range(n):
-            slack = a[:, j, None] + a[None, j, :] - a
-            bad = np.argwhere(slack < -tol)
-            if bad.size:
-                i, k = (int(x) for x in bad[0])
-                raise TriangleViolation(i, j, k)
+        threshold = tol * max(1.0, float(a.max()))
+    for i in range(n):
+        slack = a[i, :, None] + a - a[i, None, :]
+        bad = np.argwhere(slack < -threshold)
+        if bad.size:
+            j, k = (int(x) for x in bad[0])
+            raise TriangleViolation(i, j, k)
 
     return FiniteMetricSpace(labels, tuple(tuple(row) for row in m), exact, tol)
+
+
+def _lattice(m: Sequence[Sequence[Fraction]]) -> np.ndarray:
+    """A nonnegative rational matrix times the lcm of its denominators.
+
+    Numpy int64 when the sum of two entries cannot overflow, an ``object``
+    array of Python ints otherwise; either way its arithmetic is exact.
+    """
+    scale = math.lcm(*(v.denominator for row in m for v in row))
+    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in m]
+    wide = 2 * max(map(max, ints)) >= 2**63
+    return np.array(ints, dtype=object if wide else np.int64)
 
 
 def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:

@@ -18,7 +18,7 @@ from lipfree import (
     rho,
     validate_metric,
 )
-from lipfree.metric import MetricError, NonzeroDiagonal
+from lipfree.metric import MetricError, NonzeroDiagonal, _lattice
 from lipfree.instances import random_space
 
 
@@ -163,18 +163,69 @@ def test_potential_must_vanish_at_base():
 
 
 def test_validate_modes_agree_on_random_matrices():
-    # Exact and float validation must agree on clear verdicts either way.
-    rng = random.Random(1234)
-    for trial in range(40):
-        sp = random_space(5, trial + 4000)
-        rows = [[float(v) for v in row] for row in sp.dist]
-        ok_float = validate_metric(rows, exact=False)
-        assert ok_float.n == 5
-        # break one triangle decisively and expect both modes to reject
-        i, j = 1, 2
-        bad = [row[:] for row in rows]
-        bump = float(max(max(r) for r in rows)) * 3
-        bad[i][j] = bad[j][i] = bad[i][j] + bump
-        for exact in (True, False):
-            with pytest.raises(TriangleViolation):
-                validate_metric(bad, exact=exact)
+    # Exact and float validation must agree on clear verdicts either way,
+    # and the float triangle tolerance must grow with the distances.
+    for trial in range(300):
+        sp = random_space(4 + trial % 9, trial + 4000)
+        for scale in (1, 1e8):
+            rows = [[float(v) * scale for v in row] for row in sp.dist]
+            ok_float = validate_metric(rows, exact=False)
+            assert ok_float.n == sp.n
+            # break one triangle decisively and expect both modes to reject
+            i, j = 1, 2
+            bad = [row[:] for row in rows]
+            bump = float(max(max(r) for r in rows)) * 3
+            bad[i][j] = bad[j][i] = bad[i][j] + bump
+            for exact in (True, False):
+                with pytest.raises(TriangleViolation):
+                    validate_metric(bad, exact=exact)
+
+
+def _first_triangle_violation(m):
+    """Reference: the lexicographically first (i, j, k) with
+    m[i][k] > m[i][j] + m[j][k], in Fraction arithmetic, or None."""
+    n = len(m)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if m[i][k] > m[i][j] + m[j][k]:
+                    return (i, j, k)
+    return None
+
+
+def _assert_exact_check_matches_reference(rows):
+    witness = _first_triangle_violation(rows)
+    if witness is None:
+        assert validate_metric(rows, exact=True).dist == tuple(map(tuple, rows))
+    else:
+        with pytest.raises(TriangleViolation) as exc:
+            validate_metric(rows, exact=True)
+        assert exc.value.witness == witness
+    return witness
+
+
+def test_exact_triangle_witness_is_lexicographically_first():
+    rng = random.Random(77)
+    broken = 0
+    for trial in range(80):
+        sp = random_space(rng.randint(3, 10), seed=trial)
+        rows = [list(r) for r in sp.dist]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(sp.n), 2)
+            rows[i][j] = rows[j][i] = rows[i][j] * rng.choice([F(1, 3), F(1, 2), F(3, 2), 3])
+        broken += _assert_exact_check_matches_reference(rows) is not None
+    assert broken >= 40
+
+
+def test_exact_triangle_check_beyond_int64():
+    # Denominators whose lcm pushes the integer matrix past int64, so the
+    # check runs on Python ints; the break is far below float resolution.
+    big = F(10**20 + 39, 10**19 + 7)
+    for seed in range(6):
+        sp = random_space(4 + seed, seed)
+        rows = [[v * big for v in row] for row in sp.dist]
+        assert _lattice(rows).dtype == object
+        assert _assert_exact_check_matches_reference(rows) is None
+        i, j, k = 1, 2, 3
+        rows[i][k] = rows[k][i] = rows[i][j] + rows[j][k] + F(1, 10**30)
+        assert _assert_exact_check_matches_reference(rows) is not None
