@@ -19,9 +19,22 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import Error
-from .metric import FiniteMetricSpace, LipschitzPotential, _cone_envelope, lip_constant
+from .metric import (
+    FiniteMetricSpace,
+    LipschitzPotential,
+    _cone_envelope,
+    _on_lattice,
+    _ratio_extreme,
+    lip_constant,
+)
 from .numerics import Number, coerce
+
+
+#: Cap on the extra random restarts of a search whose restarts all end at 0.
+_SEPARATING_RESTARTS = 8
 
 
 class EmptyFamily(Error):
@@ -71,13 +84,15 @@ def _worst_pair_separation(
     Dividing once per pair gives the max of the per-row quotients, because
     exact and correctly rounded division are both monotone.
     """
-    best = None
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            sep = max(abs(r[i] - r[j]) for r in rows) / space.d(i, j)
-            if best is None or sep < best:
-                best = sep
-    return coerce(1, space.exact) if best is None else best
+    n = space.n
+    if n < 2:
+        return coerce(1, space.exact)
+    v, d, _ = _on_lattice(rows, space)
+    sep = np.zeros((n, n), dtype=v.dtype)
+    for r in v:
+        np.maximum(sep, np.abs(r[:, None] - r), out=sep)
+    i, j = np.triu_indices(n, 1)
+    return _ratio_extreme(sep[i, j], d[i, j], largest=False)
 
 
 def _report_from_values(
@@ -145,7 +160,8 @@ def best_embedding_search(
     """Seeded local search for an n-coordinate family with large objective.
 
     Restarts from subfamilies of the distance-to-reference coordinates and
-    from random feasible vectors; each step perturbs one value, projects
+    from random feasible vectors, and from more random vectors while every
+    restart ends at objective 0; each step perturbs one value, projects
     back into the unit ball and keeps the move if the objective improves.
     Reports the best family found (a lower bound for dimension n);
     deterministic for a fixed seed.
@@ -161,6 +177,12 @@ def best_embedding_search(
         for j in range(fspace.n)
     ]
 
+    def random_rows(fam: List[List[float]]) -> List[List[float]]:
+        while len(fam) < n:
+            row = [0.0] + [rng.uniform(-scale, scale) for _ in range(fspace.n - 1)]
+            fam.append(_project_unit_ball(row, fspace))
+        return fam
+
     starts: List[List[List[float]]] = []
     starts.append([list(frechet_rows[j]) for j in range(min(n, fspace.n))])
     while len(starts[0]) < n:
@@ -172,15 +194,14 @@ def best_embedding_search(
             fam = [list(frechet_rows[j]) for j in picks]
         else:
             fam = []
-        while len(fam) < n:
-            row = [0.0] + [rng.uniform(-scale, scale) for _ in range(fspace.n - 1)]
-            fam.append(_project_unit_ball(row, fspace))
-        starts.append(fam)
+        starts.append(random_rows(fam))
 
     best_rows = None
     best_val = -1.0
     per_restart = max(1, iterations // len(starts))
-    for fam in starts:
+
+    def climb(fam: List[List[float]]) -> None:
+        nonlocal best_rows, best_val
         fam = [_project_unit_ball(row, fspace) for row in fam]
         val = _worst_pair_separation(fam, fspace)
         for _ in range(per_restart):
@@ -196,5 +217,15 @@ def best_embedding_search(
                 fam, val = candidate, cand_val
         if val > best_val:
             best_rows, best_val = fam, val
+
+    for fam in starts:
+        climb(fam)
+    # Rows that leave several disjoint pairs unseparated stay at objective 0
+    # under every one-value move.  A random vector almost surely separates
+    # every pair, so draw such restarts until one does.
+    for _ in range(_SEPARATING_RESTARTS):
+        if best_val > 0:
+            break
+        climb(random_rows([]))
 
     return _report_from_values(best_rows, fspace)

@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from .metric import FiniteMetricSpace, validate_metric
-from .numerics import EXACT_SIZE_LIMIT, coerce
+from .numerics import EXACT_SIZE_LIMIT, Number, coerce
 
 
 def _v2(t: int) -> int:
@@ -190,14 +192,25 @@ class ExoticMetric:
     def as_space(
         self, *, exact: Optional[bool] = None, validate: bool = False
     ) -> FiniteMetricSpace:
-        labels = [str(i) for i in range(1, self.N + 1)]
-        rows = [[self.d(x, y) for y in range(1, self.N + 1)] for x in range(1, self.N + 1)]
+        """The metric as a space: one ``slot`` lookup per pair (2p, 2q+1)."""
+        N = self.N
         if exact is None:
-            exact = self.N <= EXACT_SIZE_LIMIT
+            exact = N <= EXACT_SIZE_LIMIT
+        m = np.full((N, N), coerce(_HALF, exact), dtype=object if exact else float)
+        np.fill_diagonal(m, coerce(0, exact))
+        values: Dict[int, Number] = {}
+        for p in range(1, N // 2 + 1):
+            for q in range(1, (N - 1) // 2 + 1):
+                n = self.family.slot(p, q)
+                if n is not None:
+                    if n not in values:
+                        values[n] = coerce(rational_enumeration(n), exact)
+                    m[2 * p - 1, 2 * q] = m[2 * q, 2 * p - 1] = values[n]
+        labels = [str(i) for i in range(1, N + 1)]
+        rows = m.tolist()
         if validate:
             return validate_metric(rows, labels, exact=exact)
-        m = tuple(tuple(coerce(v, exact) for v in row) for row in rows)
-        return FiniteMetricSpace(tuple(labels), m, exact)
+        return FiniteMetricSpace(tuple(labels), tuple(tuple(row) for row in rows), exact)
 
 
 def exotic_metric(N: int, family: Optional[IFamily] = None) -> ExoticMetric:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -98,6 +99,17 @@ class FiniteMetricSpace:
     def d(self, i: int, j: int) -> Number:
         return self.dist[i][j]
 
+    @cached_property
+    def grid(self) -> Tuple[np.ndarray, int]:
+        """The distance matrix as a read-only array, and its scale.
+
+        Exact mode: ``dist`` times the lcm of its denominators, as integers
+        (see ``_lattice``).  Float mode: ``dist`` as float64, scale 1.
+        """
+        a, scale = _lattice(self.dist) if self.exact else (np.array(self.dist, dtype=float), 1)
+        a.setflags(write=False)
+        return a, scale
+
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -146,49 +158,90 @@ def validate_metric(
 
     if exact is None:
         exact = n <= EXACT_SIZE_LIMIT
-    cmp = Comparator(exact, tol)
     m = [[coerce(v, exact) for v in row] for row in raw]
-
-    for i in range(n):
-        if not cmp.is_zero(m[i][i]):
-            if m[i][i] < 0:
-                raise NegativeDistance(i, i)
-            raise NonzeroDiagonal(i)
-        m[i][i] = coerce(0, exact)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not cmp.eq(m[i][j], m[j][i]):
-                raise AsymmetricMatrix(i, j)
-            if m[i][j] < 0:
-                raise NegativeDistance(i, j)
-            if cmp.is_zero(m[i][j]):
-                raise ZeroOffDiagonal(i, j)
-
+    # One code path for both modes: integers compare with tolerance 0,
+    # floats as the Comparator does, abs(x - y) <= tol.
     if exact:
-        a, threshold = _lattice(m), 0
+        (a, scale), t = _lattice(m), 0
     else:
-        a = np.array(m, dtype=float)
-        threshold = tol * max(1.0, float(a.max()))
+        a, scale, t = np.array(m, dtype=float), 1, tol
+
+    bad = ~(np.abs(a.diagonal()) <= t)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NegativeDistance(i, i) if a[i, i] < 0 else NonzeroDiagonal(i)
+    np.fill_diagonal(a, 0)
+    asym = ~(np.abs(a - a.T) <= t)
+    neg = a < 0
+    bad = np.triu(asym | neg | (np.abs(a) <= t), 1)
+    if bad.any():
+        i, j = (int(x) for x in np.argwhere(bad)[0])
+        if asym[i, j]:
+            raise AsymmetricMatrix(i, j)
+        raise NegativeDistance(i, j) if neg[i, j] else ZeroOffDiagonal(i, j)
+
+    threshold = 0 if exact else tol * max(1.0, float(a.max()))
     for i in range(n):
-        slack = a[i, :, None] + a - a[i, None, :]
-        bad = np.argwhere(slack < -threshold)
-        if bad.size:
-            j, k = (int(x) for x in bad[0])
+        bad = a[i, :, None] + a - a[i, None, :] < -threshold
+        if bad.any():
+            j, k = (int(x) for x in np.argwhere(bad)[0])
             raise TriangleViolation(i, j, k)
 
-    return FiniteMetricSpace(labels, tuple(tuple(row) for row in m), exact, tol)
+    rows = m if exact else a.tolist()
+    space = FiniteMetricSpace(labels, tuple(tuple(row) for row in rows), exact, tol)
+    a.setflags(write=False)
+    object.__setattr__(space, "grid", (a, scale))
+    return space
 
 
-def _lattice(m: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    """A nonnegative rational matrix times the lcm of its denominators.
+def _lattice(m: Sequence[Sequence[Fraction]], scale: int = 1) -> Tuple[np.ndarray, int]:
+    """A rational matrix as integers over one common denominator.
 
-    Numpy int64 when the sum of two entries cannot overflow, an ``object``
-    array of Python ints otherwise; either way its arithmetic is exact.
+    Returns the matrix times ``L``, and ``L``: the lcm of ``scale`` and the
+    entries' denominators.  Numpy int64 when the sum of two entries cannot
+    overflow, an ``object`` array of Python ints otherwise; either way its
+    arithmetic is exact.
     """
-    scale = math.lcm(*(v.denominator for row in m for v in row))
+    scale = math.lcm(scale, *(v.denominator for row in m for v in row))
     ints = [[v.numerator * (scale // v.denominator) for v in row] for row in m]
-    wide = 2 * max(map(max, ints)) >= 2**63
-    return np.array(ints, dtype=object if wide else np.int64)
+    wide = 2 * max((abs(v) for row in ints for v in row), default=0) >= 2**63
+    return np.array(ints, dtype=object if wide else np.int64), scale
+
+
+def _on_lattice(
+    rows: Sequence[Sequence[Number]], space: FiniteMetricSpace
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Value rows and the distance matrix as arrays over one scale.
+
+    Exact mode: both as integers of one dtype, times the returned scale.
+    Float mode: float64 as given, scale 1.
+    """
+    d, scale = space.grid
+    if not space.exact:
+        return np.array(rows, dtype=float), d, 1
+    v, common = _lattice([[coerce(x, True) for x in row] for row in rows], scale)
+    if common != scale:
+        d, _ = _lattice(space.dist, common)
+    if v.dtype != d.dtype:
+        v, d = v.astype(object), d.astype(object)
+    return v, d, common
+
+
+def _ratio_extreme(num: np.ndarray, den: np.ndarray, largest: bool) -> Number:
+    """The max (``largest``) or min of ``num / den``; num >= 0, den > 0.
+
+    Float arrays divide in IEEE double.  Integer arrays are prefiltered in
+    float64, whose rounding of an integer or a quotient is correct, so the
+    exact extreme is among the quotients within a relative 1e-9 of the
+    float one; those few are settled as Fractions.
+    """
+    q = np.asarray(num / den, dtype=float)
+    best = q.max() if largest else q.min()
+    if num.dtype == float:
+        return float(best)
+    near = np.flatnonzero(np.abs(q - best) <= 1e-9 * best)
+    pick = max if largest else min
+    return pick(Fraction(int(num[k]), int(den[k])) for k in near)
 
 
 def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:
@@ -196,14 +249,11 @@ def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:
     n = space.n
     if len(values) != n:
         raise ValueError(f"{len(values)} values for a {n}-point space")
-    best = coerce(0, space.exact)
-    for i in range(n):
-        vi = values[i]
-        for j in range(i + 1, n):
-            slope = abs(vi - values[j]) / space.d(i, j)
-            if slope > best:
-                best = slope
-    return best
+    if n < 2:
+        return coerce(0, space.exact)
+    (v,), d, _ = _on_lattice([values], space)
+    i, j = np.triu_indices(n, 1)
+    return _ratio_extreme(np.abs(v[i] - v[j]), d[i, j], largest=True)
 
 
 def _cone_envelope(
@@ -212,10 +262,13 @@ def _cone_envelope(
     """[max over k of (values[k] - d(anchors[k], z)) for z in space.points].
 
     The least 1-Lipschitz function that is at least values[k] at each
-    anchor: a max of distance cones.
+    anchor: a max of distance cones.  Ties go to the first anchor, which
+    fixes the sign of a float zero.
     """
-    rows = [space.dist[a] for a in anchors]
-    return [max(v - row[z] for v, row in zip(values, rows)) for z in space.points]
+    (v,), d, scale = _on_lattice([values], space)
+    cones = v[:, None] - d[list(anchors)]
+    top = cones[cones.argmax(axis=0), np.arange(space.n)].tolist()
+    return [Fraction(x, scale) for x in top] if space.exact else top
 
 
 @dataclass(frozen=True)

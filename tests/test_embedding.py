@@ -134,3 +134,10 @@ def test_search_deterministic_for_fixed_seed():
     rep2 = best_embedding_search(2, sp, iterations=80, seed=9)
     assert rep1.objective == rep2.objective
     assert all(f1.values == f2.values for f1, f2 in zip(rep1.functions, rep2.functions))
+
+
+def test_search_separates_when_every_restart_ends_at_zero():
+    # Every regular restart here leaves several disjoint pairs unseparated,
+    # which no one-value move can lift, so all of them end at objective 0.
+    rep = best_embedding_search(1, random_space(10, 8), iterations=40, seed=3)
+    assert rep.objective > 0 and rep.lip_hinv is not None

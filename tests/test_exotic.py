@@ -9,6 +9,7 @@ from lipfree import (
     rational_enumeration,
 )
 from lipfree.exotic import check_family_properties, check_gamma_properties
+from lipfree.numerics import coerce
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,18 @@ def test_exotic_space_validates_and_has_base_one(family):
     sp = em.as_space(validate=True)
     assert sp.labels[0] == "1"
     assert sp.n == 48
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 17, 64, 65, 256])
+def test_as_space_matches_d_entrywise(N):
+    em = exotic_metric(N)
+    for exact in (True, False):
+        sp = em.as_space(exact=exact, validate=True)
+        expected = tuple(
+            tuple(coerce(em.d(x, y), exact) for y in range(1, N + 1)) for x in range(1, N + 1)
+        )
+        assert sp.exact == exact and sp.dist == expected
+        assert {type(v) for row in sp.dist for v in row} == {F if exact else float}
 
 
 def test_exotic_metric_horizon_guard(family):

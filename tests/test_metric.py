@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from lipfree import (
@@ -18,7 +19,8 @@ from lipfree import (
     rho,
     validate_metric,
 )
-from lipfree.metric import MetricError, NonzeroDiagonal, _lattice
+from lipfree.embedding import _worst_pair_separation
+from lipfree.metric import MetricError, NonzeroDiagonal, _cone_envelope, _lattice, _ratio_extreme
 from lipfree.instances import random_space
 
 
@@ -53,6 +55,70 @@ def test_validate_rejects_each_axiom():
         validate_metric([[0, 1], [1, 0], [1, 1]])
 
 
+def _first_axiom_failure(m, exact, tol=1e-9):
+    """Reference scan for every axiom but the triangle: the error class and
+    witness validate_metric must raise, or None."""
+    eq = (lambda a, b: a == b) if exact else (lambda a, b: abs(a - b) <= tol)
+    n = len(m)
+    for i in range(n):
+        if not eq(m[i][i], 0):
+            return (NegativeDistance, (i, i)) if m[i][i] < 0 else (NonzeroDiagonal, (i,))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not eq(m[i][j], m[j][i]):
+                return AsymmetricMatrix, (i, j)
+            if m[i][j] < 0:
+                return NegativeDistance, (i, j)
+            if eq(m[i][j], 0):
+                return ZeroOffDiagonal, (i, j)
+    return None
+
+
+def test_validate_witness_is_row_major_first_failure():
+    # Several axioms broken at once; the precedence is diagonal first, then
+    # per pair in row-major order: asymmetric, negative, zero.
+    rng = random.Random(8)
+    failures = 0
+    for trial in range(150):
+        sp = random_space(rng.randint(2, 9), trial)
+        for exact in (True, False):
+            m = [[v if exact else float(v) for v in row] for row in sp.dist]
+            for _ in range(rng.randint(2, 4)):
+                i, j = rng.randrange(sp.n), rng.randrange(sp.n)
+                kind = rng.choice(["asym", "neg", "zero", "diag", "noise", "tiny"])
+                if kind == "diag":
+                    m[i][i] = rng.choice([F(1, 7), F(-1, 7), F(1, 10**10)])
+                elif i == j:
+                    continue
+                elif kind == "asym":
+                    m[i][j] = m[i][j] * 2
+                elif kind == "neg":
+                    m[i][j] = m[j][i] = -m[i][j]
+                elif kind == "zero":
+                    m[i][j] = m[j][i] = 0
+                elif kind == "noise":
+                    m[i][j] += F(1, 10**10)
+                else:  # opposite signs, equal within the float tolerance
+                    m[i][j], m[j][i] = F(-1, 10**10), F(1, 10**10)
+                if not exact:
+                    for x, y in ((i, j), (j, i), (i, i)):
+                        m[x][y] = float(m[x][y])
+            expected = _first_axiom_failure(m, exact)
+            if expected is None:
+                try:
+                    valid = validate_metric(m, exact=exact)
+                except TriangleViolation:
+                    continue
+                zero_diagonal = [[0 if x == y else v for y, v in enumerate(r)] for x, r in enumerate(m)]
+                assert valid.dist == tuple(map(tuple, zero_diagonal))
+                continue
+            failures += 1
+            with pytest.raises(MetricError) as exc:
+                validate_metric(m, exact=exact)
+            assert (type(exc.value), exc.value.witness) == expected
+    assert failures >= 150
+
+
 def test_validate_exotic_truncation_is_exact_metric():
     from lipfree.exotic import exotic_metric
 
@@ -69,18 +135,97 @@ def test_lip_constant_rho_and_constant():
         assert lip_constant([F(7)] * sp.n, sp) == 0
 
 
-def test_lip_constant_matches_bruteforce():
+BIG = F(10**20 + 39, 10**19 + 7)
+
+
+def _kernel_cases():
+    """(space, value vectors) in both modes: int64 and Python-int lattices,
+    denominators up to 10**20+39, ties and signed float zeros."""
     rng = random.Random(5)
-    for seed in range(10):
-        sp = random_space(6, seed)
-        vals = [F(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in sp.points]
-        expected = max(
-            abs(vals[i] - vals[j]) / sp.d(i, j)
-            for i in sp.points
-            for j in sp.points
-            if i != j
-        )
-        assert lip_constant(vals, sp) == expected
+    for seed in range(8):
+        base = random_space(3 + seed, seed)
+        for mult in (1, F(10**12, 10**12 + 3), BIG):
+            rows = [[v * mult for v in row] for row in base.dist]
+            sp = validate_metric(rows, exact=True)
+            assert (sp.grid[0].dtype == object) == (mult is BIG)
+            j = rng.randrange(sp.n)
+            vectors = [
+                [F(rng.randint(-9, 9), rng.choice([1, 2, 3, 10**12 + 3, 10**20 + 39])) for _ in sp.points],
+                [sp.d(x, j) - sp.d(0, j) for x in sp.points],
+                [sp.d(x, 0) * rng.choice([1, F(1, 2)]) for x in sp.points],
+            ]
+            yield sp, vectors
+            fsp = validate_metric(rows, exact=False)
+            yield fsp, [
+                [rng.uniform(-3, 3) for _ in sp.points],
+                [fsp.d(x, j) - fsp.d(0, j) for x in sp.points],
+                [-fsp.d(x, 0) if x else -0.0 for x in sp.points],
+            ]
+
+
+def _lip_reference(vals, sp):
+    """The pair loop: Fraction arithmetic in exact mode, the same IEEE
+    operations in float mode."""
+    best = F(0) if sp.exact else 0.0
+    for i in sp.points:
+        for j in range(i + 1, sp.n):
+            slope = abs(vals[i] - vals[j]) / sp.d(i, j)
+            if slope > best:
+                best = slope
+    return best
+
+
+def _cone_reference(anchors, values, sp):
+    rows = [sp.dist[a] for a in anchors]
+    return [max(v - row[z] for v, row in zip(values, rows)) for z in sp.points]
+
+
+def _worst_pair_reference(rows, sp):
+    best = None
+    for i in sp.points:
+        for j in range(i + 1, sp.n):
+            sep = max(abs(r[i] - r[j]) for r in rows) / sp.d(i, j)
+            if best is None or sep < best:
+                best = sep
+    return best
+
+
+def test_lip_constant_matches_bruteforce():
+    for sp, vectors in _kernel_cases():
+        for vals in vectors:
+            assert repr(lip_constant(vals, sp)) == repr(_lip_reference(vals, sp))
+
+
+def test_cone_envelope_matches_bruteforce():
+    rng = random.Random(6)
+    for sp, vectors in _kernel_cases():
+        for vals in vectors:
+            anchors = sorted(rng.sample(range(sp.n), rng.randint(1, sp.n)))
+            values = [vals[a] for a in anchors]
+            got = _cone_envelope(anchors, values, sp)
+            assert repr(got) == repr(_cone_reference(anchors, values, sp))
+            negated = [-v for v in vals]
+            got = _cone_envelope(sp.points, negated, sp)
+            assert repr(got) == repr(_cone_reference(sp.points, negated, sp))
+
+
+def test_ratio_extreme_settles_float_inversions():
+    # Above 2**53, int64 quotients in float64 can order two ratios the wrong
+    # way round; the exact settle must still return the true extremes.
+    num = np.array([2126256059769359426, 2126256059770338820], dtype=np.int64)
+    den = np.array([1652365709465708537, 1652365709466469649], dtype=np.int64)
+    assert num[0] / den[0] < num[1] / den[1]
+    big, small = F(int(num[0]), int(den[0])), F(int(num[1]), int(den[1]))
+    assert big > small
+    assert _ratio_extreme(num, den, largest=True) == big
+    assert _ratio_extreme(num, den, largest=False) == small
+
+
+def test_worst_pair_separation_matches_bruteforce():
+    for sp, vectors in _kernel_cases():
+        for k in range(1, len(vectors) + 1):
+            rows = vectors[:k]
+            assert repr(_worst_pair_separation(rows, sp)) == repr(_worst_pair_reference(rows, sp))
 
 
 def test_de_leeuw_of_rho_hits_one_toward_base():
@@ -224,7 +369,7 @@ def test_exact_triangle_check_beyond_int64():
     for seed in range(6):
         sp = random_space(4 + seed, seed)
         rows = [[v * big for v in row] for row in sp.dist]
-        assert _lattice(rows).dtype == object
+        assert _lattice(rows)[0].dtype == object
         assert _assert_exact_check_matches_reference(rows) is None
         i, j, k = 1, 2, 3
         rows[i][k] = rows[k][i] = rows[i][j] + rows[j][k] + F(1, 10**30)
