@@ -11,6 +11,7 @@ key order.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -32,6 +33,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lipfree",
@@ -200,11 +202,11 @@ _DISPATCH = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    logging.basicConfig(level=os.environ.get("LIPFREE_LOG", "WARNING").upper())
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    log.info("running %s", args.command)
     try:
+        # An unknown level raises ValueError: bad input like any other.
+        logging.basicConfig(level=os.environ.get("LIPFREE_LOG", "WARNING").upper())
+        args = _build_parser().parse_args(argv)
+        log.info("running %s", args.command)
         return _DISPATCH[args.command](args)
     except Error as exc:
         sys.stderr.write(lfio.dumps({"error": exc.payload()}))

@@ -5,25 +5,37 @@ point, or a CSV square matrix whose header row holds the labels.
 Functional: {"coeffs": {"label": number, ...}}.
 Pair set: {"pairs": [["x", "y"], ...]}.
 
+Numbers in input files are JSON numbers or strings: "p/q", integer or
+decimal.  A distance matrix is read per array where it can be: a JSON
+matrix of plain numbers skips the per-cell parse, and in float mode a CSV
+file is read with one ``float`` pass per row.  Any other matrix, and a
+CSV file with a cell that pass rejects or reads as non-finite, goes
+through the per-cell parse, so what is accepted and every error message
+stay the same on both paths.  A zero denominator is a ``SchemaMismatch``.
+
 Emitted numbers are fixed at 12 significant digits, except the distances
 of an exact space, which are written losslessly (integers as numbers,
-other rationals as "p/q" strings).  Keys keep their construction order,
-so identical runs are byte-identical.
+other rationals as "p/q" strings); float distances are rounded with one
+format over the whole matrix.  ``dumps`` writes exactly the bytes of
+``json.dumps(doc, indent=2, allow_nan=False)``.  Keys keep their
+construction order, so identical runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _stdio
+import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List
 
 from .errors import Error
 from .metric import FiniteMetricSpace, Functional, LipschitzPotential, validate_metric
 from .monotonicity import CycleCertificate, PairSet
-from .numerics import Number, exact_repr, round12
+from .numerics import EXACT_SIZE_LIMIT, Number, exact_repr, round12
 from .transport import PairMeasure, TransportResult
 
 
@@ -56,11 +68,12 @@ def load_space(path: str, *, exact: bool | None = None, tol: float = 1e-9) -> Fi
         rows = list(csv.reader(_stdio.StringIO(_read_text(path))))
         if not rows:
             raise SchemaMismatch(f"{path}: empty CSV")
-        labels = rows[0]
-        try:
-            dist = [[_parse_number(v) for v in row] for row in rows[1:]]
-        except ValueError as exc:
-            raise SchemaMismatch(f"{path}: {exc}") from exc
+        labels, cells = rows[0], rows[1:]
+        if exact is None:
+            exact = len(cells) <= EXACT_SIZE_LIMIT
+        dist = None if exact else _float_rows(cells)
+        if dist is None:
+            dist = _parse_rows(path, cells)
         if len(dist) != len(labels):
             raise SchemaMismatch(f"{path}: {len(labels)} labels but {len(dist)} rows")
         return validate_metric(dist, labels, exact=exact, tol=tol)
@@ -72,10 +85,29 @@ def load_space(path: str, *, exact: bool | None = None, tol: float = 1e-9) -> Fi
     if not isinstance(labels, list) or not isinstance(dist, list):
         raise SchemaMismatch(f"{path}: labels and dist must be arrays")
     try:
-        dist = [[_parse_number(v) for v in row] for row in dist]
-    except (TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"{path}: {exc}") from exc
+        plain = {type(v) for row in dist for v in row} <= {int, float}
+    except TypeError:  # a row that is not an array: the per-cell path reports it
+        plain = False
+    if not plain:
+        dist = _parse_rows(path, dist)
     return validate_metric(dist, labels, exact=exact, tol=tol)
+
+
+def _float_rows(cells: List[List[str]]) -> List[List[float]] | None:
+    """CSV cells as finite floats in one pass per row, or None when a cell
+    needs ``_parse_number`` (which then accepts it or reports it)."""
+    try:
+        rows = [list(map(float, row)) for row in cells]
+    except ValueError:
+        return None
+    return rows if all(map(math.isfinite, itertools.chain.from_iterable(rows))) else None
+
+
+def _parse_rows(path: str, rows) -> List[List[Number]]:
+    try:
+        return [[_parse_number(v) for v in row] for row in rows]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from exc
 
 
 def _parse_number(v) -> Number:
@@ -86,6 +118,10 @@ def _parse_number(v) -> Number:
     if isinstance(v, str):
         s = v.strip()
         if "/" in s:
+            num, _, den = s.partition("/")
+            digits = num[1:] if num[:1] in ("+", "-") else num
+            if s.isascii() and digits.isdigit() and den.isdigit():
+                return Fraction(int(num), int(den))
             return Fraction(s)
         return float(s) if ("." in s or "e" in s or "E" in s) else int(s)
     raise ValueError(f"not a number: {v!r}")
@@ -103,7 +139,7 @@ def load_functional(path: str, space: FiniteMetricSpace) -> Functional:
             raise SchemaMismatch(f"{path}: {exc.args[0]}") from exc
         try:
             coeffs[i] = _parse_number(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaMismatch(f"{path}: {exc}") from exc
     return Functional(coeffs, space)
 
@@ -136,20 +172,30 @@ def _exact_number(x: Fraction):
 
 
 def space_doc(space: FiniteMetricSpace) -> Dict:
-    number = _exact_number if space.exact else jsonable_number
-    return {
-        "labels": list(space.labels),
-        "dist": [[number(v) for v in row] for row in space.dist],
-    }
+    if space.exact:
+        dist = [[_exact_number(v) for v in row] for row in space.dist]
+    else:
+        dist = [list(map(float, row)) for row in _rows12(space)]
+    return {"labels": list(space.labels), "dist": dist}
 
 
 def space_csv(space: FiniteMetricSpace) -> str:
     buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(space.labels)
-    for row in space.dist:
-        writer.writerow([exact_repr(v) if space.exact else f"{float(v):.12g}" for v in row])
+    csv.writer(buf, lineterminator="\n").writerow(space.labels)
+    if space.exact:
+        rows = [[exact_repr(v) for v in row] for row in space.dist]
+    else:
+        rows = _rows12(space)
+    # Numbers hold no comma, quote or newline, so no cell needs quoting.
+    buf.writelines(",".join(row) + "\n" for row in rows)
     return buf.getvalue()
+
+
+def _rows12(space: FiniteMetricSpace) -> Iterator[List[str]]:
+    """The distances at 12 significant digits, as ``round12`` writes them,
+    one ``%`` format per row."""
+    fmt = " ".join(["%.12g"] * space.n)
+    return ((fmt % tuple(row)).split(" ") for row in space.dist)
 
 
 def potential_doc(f: LipschitzPotential, space: FiniteMetricSpace) -> Dict:
@@ -184,5 +230,60 @@ def certificate_doc(cert: CycleCertificate, space: FiniteMetricSpace) -> Dict:
 
 
 def dumps(doc: Any) -> str:
-    """Fixed-format JSON: stable key order as constructed, no NaN/Inf."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """Fixed-format JSON: stable key order as constructed, no NaN/Inf.
+
+    The text is that of ``json.dumps(doc, indent=2, allow_nan=False)``,
+    whose indented form runs the standard library's pure-Python encoder;
+    ``_encode`` writes the same bytes for the types the CLI emits, and a
+    list of floats in one ``join``.  Anything else (other types, non-finite
+    floats, non-string keys, a cycle) goes to ``json.dumps``, which writes
+    it or raises its usual ``TypeError`` or ``ValueError``.
+    """
+    try:
+        return _encode(doc, "\n") + "\n"
+    except (_Unsupported, RecursionError):
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+class _Unsupported(Exception):
+    """A value ``_encode`` leaves to ``json.dumps``."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(o: Any, newline: str) -> str:
+    """``o`` as indented JSON; ``newline`` is a newline plus the indent of
+    the line ``o`` starts on."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is float:
+        if not math.isfinite(o):
+            raise _Unsupported
+        return float.__repr__(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    inner = newline + "  "
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        if all(type(v) is float for v in o):
+            if not all(map(math.isfinite, o)):
+                raise _Unsupported
+            items = map(float.__repr__, o)
+        else:
+            items = [_encode(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        if not all(type(k) is str for k in o):
+            raise _Unsupported
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise _Unsupported

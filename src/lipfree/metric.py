@@ -158,12 +158,14 @@ def validate_metric(
 
     if exact is None:
         exact = n <= EXACT_SIZE_LIMIT
-    m = [[coerce(v, exact) for v in row] for row in raw]
     # One code path for both modes: integers compare with tolerance 0,
     # floats as the Comparator does, abs(x - y) <= tol.
     if exact:
+        m = [[coerce(v, True) for v in row] for row in raw]
         (a, scale), t = _lattice(m), 0
     else:
+        plain = {type(v) for row in raw for v in row} <= {int, float}
+        m = raw if plain else [[coerce(v, False) for v in row] for row in raw]
         a, scale, t = np.array(m, dtype=float), 1, tol
 
     bad = ~(np.abs(a.diagonal()) <= t)
@@ -180,18 +182,35 @@ def validate_metric(
             raise AsymmetricMatrix(i, j)
         raise NegativeDistance(i, j) if neg[i, j] else ZeroOffDiagonal(i, j)
 
-    threshold = 0 if exact else tol * max(1.0, float(a.max()))
-    for i in range(n):
-        bad = a[i, :, None] + a - a[i, None, :] < -threshold
-        if bad.any():
-            j, k = (int(x) for x in np.argwhere(bad)[0])
-            raise TriangleViolation(i, j, k)
+    witness = _triangle_witness(a, 0 if exact else tol * max(1.0, float(a.max())))
+    if witness is not None:
+        raise TriangleViolation(*witness)
 
     rows = m if exact else a.tolist()
     space = FiniteMetricSpace(labels, tuple(tuple(row) for row in rows), exact, tol)
     a.setflags(write=False)
     object.__setattr__(space, "grid", (a, scale))
     return space
+
+
+def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] | None:
+    """The first (i, j, k), row-major, with
+    ``a[i, j] + a[j, k] - a[i, k] < -threshold``, or None.
+
+    Row i fails iff ``min_j (a[i, j] + a[j, k]) - a[i, k] < -threshold`` for
+    some k: rounding is monotone, so the smallest sum decides, and ``fmin``
+    skips a NaN sum as the comparison does.  Only a failing row builds the
+    full mask, to name the witness.
+    """
+    n = len(a)
+    sums, low = np.empty_like(a), np.empty(n, dtype=a.dtype)
+    for i in range(n):
+        np.fmin.reduce(np.add(a[i, :, None], a, out=sums), axis=0, out=low)
+        if (low - a[i] < -threshold).any():
+            bad = a[i, :, None] + a - a[i, None, :] < -threshold
+            j, k = (int(x) for x in np.argwhere(bad)[0])
+            return i, j, k
+    return None
 
 
 def _lattice(m: Sequence[Sequence[Fraction]], scale: int = 1) -> Tuple[np.ndarray, int]:

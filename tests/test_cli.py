@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,13 @@ from lipfree.errors import InternalError
 LINE_DOC = {"labels": ["0", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "lipfree", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=300,
     )
 
@@ -138,6 +140,34 @@ def test_input_errors_exit_two(tmp_path, line_files):
     proc = run_cli("norm", "--input", str(space), "--functional", str(wrong_label))
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"]["type"] == "SchemaMismatch"
+
+
+@pytest.mark.parametrize("where", ["space.json", "space.csv", "phi.json"])
+def test_zero_denominator_is_schema_error(capsys, tmp_path, line_files, where):
+    space, phi = line_files
+    bad = tmp_path / where
+    if where == "space.json":
+        space = bad
+        bad.write_text(json.dumps({"labels": ["0", "a"], "dist": [[0, "1/0"], ["1/0", 0]]}))
+    elif where == "space.csv":
+        space = bad
+        bad.write_text("0,a\n0,1/0\n1/0,0\n")
+    else:
+        phi = bad
+        bad.write_text(json.dumps({"coeffs": {"a": "3/0"}}))
+    assert cli.main(["norm", "--input", str(space), "--functional", str(phi)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "SchemaMismatch"
+    assert error["message"].endswith(": Fraction(3, 0)" if where == "phi.json" else ": Fraction(1, 0)")
+
+
+def test_unknown_log_level_is_input_error(line_files):
+    space, phi = line_files
+    env = {**os.environ, "LIPFREE_LOG": "verbose"}
+    proc = run_cli("norm", "--input", str(space), "--functional", str(phi), env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == {"type": "ValueError", "message": "Unknown level: 'VERBOSE'"}
 
 
 def test_internal_error_exits_three(monkeypatch, capsys, line_files):

@@ -20,7 +20,14 @@ from lipfree import (
     validate_metric,
 )
 from lipfree.embedding import _worst_pair_separation
-from lipfree.metric import MetricError, NonzeroDiagonal, _cone_envelope, _lattice, _ratio_extreme
+from lipfree.metric import (
+    MetricError,
+    NonzeroDiagonal,
+    _cone_envelope,
+    _lattice,
+    _ratio_extreme,
+    _triangle_witness,
+)
 from lipfree.instances import random_space
 
 
@@ -374,3 +381,83 @@ def test_exact_triangle_check_beyond_int64():
         i, j, k = 1, 2, 3
         rows[i][k] = rows[k][i] = rows[i][j] + rows[j][k] + F(1, 10**30)
         assert _assert_exact_check_matches_reference(rows) is not None
+
+
+def _triangle_reference(a, threshold):
+    """The full-mask loop, one row at a time, that the min-plus prefilter
+    of ``_triangle_witness`` guards."""
+    for i in range(len(a)):
+        bad = a[i, :, None] + a - a[i, None, :] < -threshold
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            return i, int(j), int(k)
+    return None
+
+
+def _dyadic_metric(n, seed):
+    """A shortest-path closure of integer weights times 2**-7: every sum and
+    difference below is exact in float64, and the largest distance is below
+    1, so the float triangle threshold equals ``tol``."""
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 64, size=(n, n))
+    w = np.minimum(w, w.T)
+    np.fill_diagonal(w, 0)
+    for k in range(n):
+        np.minimum(w, w[:, k, None] + w[None, k, :], out=w)
+    return w * 2.0**-7
+
+
+@pytest.mark.parametrize("i, k", [(3, 40), (125, 127)])
+def test_triangle_prefilter_at_and_past_threshold(i, k):
+    tol = 2.0**-20
+    a = _dyadic_metric(128, seed=i)
+    # Raise d(i, k) to the shortest detour plus the threshold: every triangle
+    # through (i, k) then has slack of at least -tol, and equal to -tol on
+    # the best detour.
+    detour = min(a[i, j] + a[j, k] for j in range(128) if j not in (i, k))
+    a[i, k] = a[k, i] = detour + tol
+    assert a.max() < 1 and (a[i, :, None] + a - a[i, None, :]).min() == -tol
+    assert _triangle_witness(a, tol) is None
+    assert validate_metric(a.tolist(), exact=False, tol=tol).d(i, k) == detour + tol
+    a[i, k] = a[k, i] = np.nextafter(detour + tol, 2.0)
+    witness = _triangle_reference(a, tol)
+    assert witness is not None and witness[0] == i
+    assert _triangle_witness(a, tol) == witness
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(a.tolist(), exact=False, tol=tol)
+    assert exc.value.witness == witness
+
+
+def test_triangle_prefilter_matches_full_mask():
+    # Random non-metrics with NaN entries and broken triangles, in float64,
+    # int64 and Python-int arrays: the same witness or None as the full mask.
+    rng = np.random.default_rng(11)
+    found = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 14))
+        a = rng.integers(1, 20, size=(n, n)).astype(float)
+        a = np.minimum(a, a.T)
+        np.fill_diagonal(a, 0)
+        if trial % 3 == 0:
+            a[rng.random((n, n)) < 0.1] = np.nan
+        threshold = float(rng.choice([0.0, 0.5, 3.0]))
+        cases = [a]
+        if trial % 3:
+            cases += [a.astype(np.int64), a.astype(np.int64).astype(object)]
+        for b in cases:
+            witness = _triangle_reference(b, threshold)
+            assert _triangle_witness(b, threshold) == witness
+            found += witness is not None
+    assert found >= 100
+
+
+def test_nan_entries_fail_before_the_triangle_check():
+    a = _dyadic_metric(128, seed=5)
+    a[7, 90] = a[90, 7] = np.nan
+    with pytest.raises(AsymmetricMatrix) as exc:
+        validate_metric(a.tolist(), exact=False)
+    assert exc.value.witness == (7, 90)
+    a[7, 7] = np.nan
+    with pytest.raises(NonzeroDiagonal) as exc:
+        validate_metric(a.tolist(), exact=False)
+    assert exc.value.witness == (7,)
