@@ -140,12 +140,10 @@ def _cmd_embed(args) -> int:
     space = _load_space(args)
     if args.dim is None:
         report = frechet_embedding(space)
-        rspace = space
     else:
         report = best_embedding_search(args.dim, space, iterations=args.iters, seed=args.seed)
-        rspace = space.with_mode(exact=False) if space.exact else space
     doc = {
-        "labels": list(rspace.labels),
+        "labels": list(space.labels),
         "objective": lfio.jsonable_number(report.objective),
         "lip_h": lfio.jsonable_number(report.lip_h),
         "lip_hinv": None if report.lip_hinv is None else lfio.jsonable_number(report.lip_hinv),
@@ -203,8 +201,12 @@ _DISPATCH = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        # An unknown level raises ValueError: bad input like any other.
-        logging.basicConfig(level=os.environ.get("LIPFREE_LOG", "WARNING").upper())
+        # basicConfig skips its own level check once the root logger has a
+        # handler, so an unknown level is rejected here: bad input like any other.
+        level = os.environ.get("LIPFREE_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ValueError(f"Unknown level: {level!r}")
+        logging.basicConfig(level=level)
         args = _build_parser().parse_args(argv)
         log.info("running %s", args.command)
         return _DISPATCH[args.command](args)

@@ -22,6 +22,12 @@ inside I_{k0,n0}, is vacuous for the ruler split.  Suppose some level a in
 chain whose parent is I_{k0,n0} splits the whole tail of I_{k0,n0} beyond
 itself, m+1 included, so m+1 would lie in a deeper set, contradicting the
 choice of k0.
+
+By (ii) each element lies in at most one set per level, so the whole
+family up to horizon H is one slot table: ``slots[k, p]`` is the n with p
+in I_{k,n}, or 0.  It takes (H+1)^2 bytes as int8 (slots never exceed
+log2(H) + 1).  The metric on {1..N} needs H = N//2, so the table is 1/32
+of the float64 matrix ``ExoticMetric.as_space`` builds.
 """
 
 from __future__ import annotations
@@ -34,39 +40,26 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .metric import FiniteMetricSpace, validate_metric
-from .numerics import EXACT_SIZE_LIMIT, Number, coerce
-
-
-def _v2(t: int) -> int:
-    """2-adic valuation of a positive integer."""
-    return (t & -t).bit_length() - 1
-
-
-@dataclass(frozen=True)
-class _Level:
-    """Materialized data for one level k >= 2 of the family.
-
-    ``elems`` maps each element of the parent set's tail (restricted to
-    the horizon) to its 1-based position in the increasing enumeration of
-    that tail; the element then belongs to slot n = v2(position) + 1.
-    """
-
-    k0: int
-    n0: int
-    elems: Dict[int, int]
+from .numerics import EXACT_SIZE_LIMIT, coerce
 
 
 @dataclass
 class IFamily:
-    """The family I_{k,n} materialized on {1..horizon} for k <= horizon."""
+    """The family I_{k,n} materialized on {1..horizon} for k <= horizon.
+
+    ``_parents[k - 2]`` is the set I_{k0,n0} that level k splits, and
+    ``_slots`` the read-only slot table they determine, so equality and
+    repr leave the table out.
+    """
 
     horizon: int
-    _levels: Dict[int, _Level] = field(default_factory=dict)
+    _parents: Tuple[Tuple[int, int], ...]
+    _slots: np.ndarray = field(compare=False, repr=False)
 
     @property
     def trace(self) -> List[Tuple[int, int, int]]:
         """Construction trace: (level, k0, n0), the level splitting I_{k0,n0}."""
-        return [(k, lv.k0, lv.n0) for k, lv in sorted(self._levels.items())]
+        return [(k, k0, n0) for k, (k0, n0) in enumerate(self._parents, start=2)]
 
     def member(self, k: int, n: int, p: int) -> bool:
         """Whether p belongs to I_{k,n}; valid for p up to the horizon."""
@@ -78,61 +71,47 @@ class IFamily:
 
     def slot(self, k: int, p: int) -> Optional[int]:
         """The n with p in I_{k,n}, or None."""
-        if not 1 <= p <= self.horizon:
+        if not (1 <= k <= self.horizon and 1 <= p <= self.horizon):
             return None
-        if k == 1:
-            return _v2(p - 1) + 1 if p >= 2 else None
-        level = self._levels.get(k)
-        if level is None:
-            return None
-        t = level.elems.get(p)
-        return None if t is None else _v2(t) + 1
+        return int(self._slots[k, p]) or None
 
     def members(self, k: int, n: int) -> Tuple[int, ...]:
         """Sorted elements of I_{k,n} up to the horizon."""
-        if k == 1:
-            return tuple(
-                p for p in range(2, self.horizon + 1) if _v2(p - 1) + 1 == n
-            )
-        level = self._levels.get(k)
-        if level is None:
+        if n < 1 or not 1 <= k <= self.horizon:
             return ()
-        return tuple(sorted(p for p, t in level.elems.items() if _v2(t) + 1 == n))
+        return tuple(np.flatnonzero(self._slots[k] == n).tolist())
 
 
 def build_i_family(N: int) -> IFamily:
     """Materialize the family on {1..N}, levels 1..N, with its trace."""
     if N < 2:
         raise ValueError("horizon must be at least 2")
-    fam = IFamily(horizon=N)
-
-    for m_plus_1 in range(2, N + 1):
-        m = m_plus_1 - 1
-        # Deepest existing set containing m+1.
-        k0, n0 = 1, _v2(m_plus_1 - 1) + 1
-        for k in range(m, 1, -1):
-            n = fam.slot(k, m_plus_1)
-            if n is not None:
-                k0, n0 = k, n
-                break
-        # Split the tail of I_{k0,n0} beyond m+1 with the binary ruler.
-        tail = [p for p in fam.members(k0, n0) if p > m_plus_1]
-        elems = {p: t for t, p in enumerate(tail, start=1)}
-        fam._levels[m_plus_1] = _Level(k0, n0, elems)
-
-    return fam
+    t = np.arange(N + 1)
+    ruler = np.frexp(t & -t)[1].astype(np.int8)  # v2(t) + 1; ruler[0] = 0
+    slots = np.zeros((N + 1, N + 1), dtype=np.int8)
+    slots[1, 1:] = ruler[:-1]
+    parents = []
+    for level in range(2, N + 1):
+        # The deepest existing set containing the level: its last nonzero
+        # slot above it (level 1 holds every element from 2 on).
+        k0 = int(np.flatnonzero(slots[:level, level])[-1])
+        n0 = int(slots[k0, level])
+        # Split the tail of I_{k0,n0} beyond the level with the ruler.
+        tail = np.flatnonzero(slots[k0, level + 1 :] == n0) + level + 1
+        slots[level, tail] = ruler[1 : len(tail) + 1]
+        parents.append((k0, n0))
+    slots.setflags(write=False)
+    return IFamily(horizon=N, _parents=tuple(parents), _slots=slots)
 
 
 def gamma_pairs(family: IFamily, n: int, N: int) -> Set[Tuple[int, int]]:
     """All pairs (k, p) with p in I_{k,n} and p <= N; every pair has k < p."""
     if family.horizon < N:
         raise ValueError(f"family horizon {family.horizon} below requested {N}")
-    out: Set[Tuple[int, int]] = set()
-    for k in range(1, N + 1):
-        for p in family.members(k, n):
-            if p <= N:
-                out.add((k, p))
-    return out
+    if n < 1 or N < 1:
+        return set()
+    k, p = np.nonzero(family._slots[: N + 1, : N + 1] == n)
+    return set(zip(k.tolist(), p.tolist()))
 
 
 _HALF = Fraction(1, 2)
@@ -192,20 +171,20 @@ class ExoticMetric:
     def as_space(
         self, *, exact: Optional[bool] = None, validate: bool = False
     ) -> FiniteMetricSpace:
-        """The metric as a space: one ``slot`` lookup per pair (2p, 2q+1)."""
+        """The metric as a space: every pair (2p, 2q+1) in one assignment."""
         N = self.N
         if exact is None:
             exact = N <= EXACT_SIZE_LIMIT
         m = np.full((N, N), coerce(_HALF, exact), dtype=object if exact else float)
         np.fill_diagonal(m, coerce(0, exact))
-        values: Dict[int, Number] = {}
-        for p in range(1, N // 2 + 1):
-            for q in range(1, (N - 1) // 2 + 1):
-                n = self.family.slot(p, q)
-                if n is not None:
-                    if n not in values:
-                        values[n] = coerce(rational_enumeration(n), exact)
-                    m[2 * p - 1, 2 * q] = m[2 * q, 2 * p - 1] = values[n]
+        # Row and column 0 of the slot table are empty, so p and q are the
+        # family indices themselves.
+        table = self.family._slots[: N // 2 + 1, : (N - 1) // 2 + 1]
+        p, q = np.nonzero(table)
+        n = table[p, q]
+        top = int(n.max(initial=0))
+        values = np.array([coerce(rational_enumeration(i), exact) for i in range(1, top + 1)], m.dtype)
+        m[2 * p - 1, 2 * q] = m[2 * q, 2 * p - 1] = values[n - 1]
         labels = [str(i) for i in range(1, N + 1)]
         rows = m.tolist()
         if validate:

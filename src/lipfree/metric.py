@@ -27,52 +27,44 @@ from .numerics import (
 
 
 class MetricError(Error):
-    """A metric axiom failed; carries a witness of the violation."""
+    """A metric axiom failed; carries a witness of the violation, if any."""
+
+    def __init__(self, message: str, witness: Tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+    def payload(self):
+        body = super().payload()
+        if self.witness is not None:
+            body["witness"] = list(self.witness)
+        return body
 
 
 class AsymmetricMatrix(MetricError):
     def __init__(self, i: int, j: int):
-        super().__init__(f"dist[{i}][{j}] != dist[{j}][{i}]")
-        self.witness = (i, j)
-
-    def payload(self):
-        return {**super().payload(), "witness": list(self.witness)}
+        super().__init__(f"dist[{i}][{j}] != dist[{j}][{i}]", (i, j))
 
 
 class NegativeDistance(MetricError):
     def __init__(self, i: int, j: int):
-        super().__init__(f"dist[{i}][{j}] < 0")
-        self.witness = (i, j)
-
-    def payload(self):
-        return {**super().payload(), "witness": list(self.witness)}
+        super().__init__(f"dist[{i}][{j}] < 0", (i, j))
 
 
 class ZeroOffDiagonal(MetricError):
     def __init__(self, i: int, j: int):
-        super().__init__(f"dist[{i}][{j}] = 0 for distinct points (duplicates are a hard error)")
-        self.witness = (i, j)
-
-    def payload(self):
-        return {**super().payload(), "witness": list(self.witness)}
+        super().__init__(
+            f"dist[{i}][{j}] = 0 for distinct points (duplicates are a hard error)", (i, j)
+        )
 
 
 class NonzeroDiagonal(MetricError):
     def __init__(self, i: int):
-        super().__init__(f"dist[{i}][{i}] != 0")
-        self.witness = (i,)
-
-    def payload(self):
-        return {**super().payload(), "witness": list(self.witness)}
+        super().__init__(f"dist[{i}][{i}] != 0", (i,))
 
 
 class TriangleViolation(MetricError):
     def __init__(self, i: int, j: int, k: int):
-        super().__init__(f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}]")
-        self.witness = (i, j, k)
-
-    def payload(self):
-        return {**super().payload(), "witness": list(self.witness)}
+        super().__init__(f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}]", (i, j, k))
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,8 @@ def validate_metric(
         i = int(np.argmax(bad))
         raise NegativeDistance(i, i) if a[i, i] < 0 else NonzeroDiagonal(i)
     np.fill_diagonal(a, 0)
-    asym = ~(np.abs(a - a.T) <= t)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+        asym = ~(np.abs(a - a.T) <= t)
     neg = a < 0
     bad = np.triu(asym | neg | (np.abs(a) <= t), 1)
     if bad.any():
@@ -199,17 +192,19 @@ def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] 
 
     Row i fails iff ``min_j (a[i, j] + a[j, k]) - a[i, k] < -threshold`` for
     some k: rounding is monotone, so the smallest sum decides, and ``fmin``
-    skips a NaN sum as the comparison does.  Only a failing row builds the
-    full mask, to name the witness.
+    skips a NaN sum as the comparison does.  A float sum that overflows to
+    inf cannot violate, so overflow is not reported.  Only a failing row
+    builds the full mask, to name the witness.
     """
     n = len(a)
     sums, low = np.empty_like(a), np.empty(n, dtype=a.dtype)
-    for i in range(n):
-        np.fmin.reduce(np.add(a[i, :, None], a, out=sums), axis=0, out=low)
-        if (low - a[i] < -threshold).any():
-            bad = a[i, :, None] + a - a[i, None, :] < -threshold
-            j, k = (int(x) for x in np.argwhere(bad)[0])
-            return i, j, k
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            np.fmin.reduce(np.add(a[i, :, None], a, out=sums), axis=0, out=low)
+            if (low - a[i] < -threshold).any():
+                bad = a[i, :, None] + a - a[i, None, :] < -threshold
+                j, k = (int(x) for x in np.argwhere(bad)[0])
+                return i, j, k
     return None
 
 

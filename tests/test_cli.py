@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -168,6 +169,37 @@ def test_unknown_log_level_is_input_error(line_files):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == {"type": "ValueError", "message": "Unknown level: 'VERBOSE'"}
+
+
+def test_unknown_log_level_rejected_in_process(monkeypatch, capsys, line_files):
+    # With a handler on the root logger, basicConfig no longer checks the level.
+    space, phi = line_files
+    monkeypatch.setenv("LIPFREE_LOG", "verbose")
+    root = logging.getLogger()
+    handler = logging.NullHandler()
+    root.addHandler(handler)
+    try:
+        rc = cli.main(["norm", "--input", str(space), "--functional", str(phi)])
+    finally:
+        root.removeHandler(handler)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": "Unknown level: 'VERBOSE'"}
+
+
+def test_overflowing_distance_reports_one_json_error(tmp_path):
+    n = 66  # above the exact-mode limit, so the space is validated in floats
+    dist = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    dist[0][1] = dist[1][0] = "1e400"
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"labels": [f"p{i}" for i in range(n)], "dist": dist}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"coeffs": {"p1": 1}}))
+    proc = run_cli("norm", "--input", str(space), "--functional", str(phi))
+    assert proc.returncode == 2 and proc.stdout == ""
+    doc, end = json.JSONDecoder().raw_decode(proc.stderr)
+    assert proc.stderr[end:].strip() == "", proc.stderr
+    assert set(doc) == {"error"}
 
 
 def test_internal_error_exits_three(monkeypatch, capsys, line_files):

@@ -142,3 +142,57 @@ def test_build_family_input_validation():
         build_i_family(1)
     with pytest.raises(ValueError):
         rational_enumeration(0)
+
+
+def _v2(t):
+    return (t & -t).bit_length() - 1
+
+
+class _ReferenceFamily:
+    """The dict-based recipe the slot table replaced.  Level k >= 2 maps each
+    element of its parent set's tail beyond k to the element's position t in
+    that tail, and the element lies in slot v2(t) + 1."""
+
+    def __init__(self, N):
+        self.horizon = N
+        self.levels = {}
+        for level in range(2, N + 1):
+            k0 = next((k for k in range(level - 1, 1, -1) if level in self.levels[k][2]), 1)
+            n0 = self.slot(k0, level)
+            tail = [p for p in self.members(k0, n0) if p > level]
+            self.levels[level] = (k0, n0, {p: t for t, p in enumerate(tail, start=1)})
+
+    def slot(self, k, p):
+        if not 1 <= p <= self.horizon:
+            return None
+        if k == 1:
+            return _v2(p - 1) + 1 if p >= 2 else None
+        t = self.levels[k][2].get(p) if k in self.levels else None
+        return None if t is None else _v2(t) + 1
+
+    def members(self, k, n):
+        if k == 1:
+            return tuple(p for p in range(2, self.horizon + 1) if _v2(p - 1) + 1 == n)
+        if k not in self.levels:
+            return ()
+        return tuple(sorted(p for p, t in self.levels[k][2].items() if _v2(t) + 1 == n))
+
+
+@pytest.mark.parametrize("horizons", [range(2, 151), range(151, 301), [1024]])
+def test_slot_table_matches_reference_recipe(horizons):
+    for N in horizons:
+        fam, ref = build_i_family(N), _ReferenceFamily(N)
+        assert fam.trace == [(k, k0, n0) for k, (k0, n0, _) in sorted(ref.levels.items())]
+        indices = range(-1, N + 2)
+        # members over every (k, n) covers the whole table; slot gets every
+        # (k, p) on small horizons and the out-of-range rows and columns on all.
+        edges = indices if N <= 64 or N in (300, 1024) else (-1, 0, 1, 2, N - 1, N, N + 1)
+        for k in edges:
+            assert [fam.slot(k, p) for p in indices] == [ref.slot(k, p) for p in indices]
+            assert [fam.slot(p, k) for p in indices] == [ref.slot(p, k) for p in indices]
+        for n in range(-1, N.bit_length() + 2):
+            members = [ref.members(k, n) for k in indices]
+            assert [fam.members(k, n) for k in indices] == members
+            for M in (N // 2, N):
+                gamma = {(k, p) for k, ps in zip(indices, members) if 1 <= k <= M for p in ps if p <= M}
+                assert gamma_pairs(fam, n, M) == gamma

@@ -1,4 +1,6 @@
+import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -461,3 +463,30 @@ def test_nan_entries_fail_before_the_triangle_check():
     with pytest.raises(NonzeroDiagonal) as exc:
         validate_metric(a.tolist(), exact=False)
     assert exc.value.witness == (7,)
+
+
+def test_float_validation_emits_no_warnings():
+    big = [[0.0 if i == j else 1e308 for j in range(3)] for i in range(3)]
+    inf = [[0.0, math.inf, 1.0], [math.inf, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_metric(big, exact=False).n == 3  # the triangle sums overflow
+        with pytest.raises(MetricError):
+            validate_metric(inf, exact=False)  # inf - inf in the symmetry check
+
+
+def test_error_payloads():
+    cases = [
+        (MetricError("empty matrix"), "empty matrix", None),
+        (AsymmetricMatrix(0, 1), "dist[0][1] != dist[1][0]", [0, 1]),
+        (NegativeDistance(2, 3), "dist[2][3] < 0", [2, 3]),
+        (ZeroOffDiagonal(1, 2), "dist[1][2] = 0 for distinct points (duplicates are a hard error)", [1, 2]),
+        (NonzeroDiagonal(4), "dist[4][4] != 0", [4]),
+        (TriangleViolation(0, 1, 2), "dist[0][2] > dist[0][1] + dist[1][2]", [0, 1, 2]),
+    ]
+    for exc, message, witness in cases:
+        body = {"type": type(exc).__name__, "message": message}
+        if witness is not None:
+            body["witness"] = witness
+        assert str(exc) == message
+        assert exc.payload() == body and list(exc.payload()) == list(body)
