@@ -14,6 +14,7 @@ from .metric import (
     MetricError,
     Molecule,
     NegativeDistance,
+    NonFiniteDistance,
     NonzeroDiagonal,
     TriangleViolation,
     ZeroOffDiagonal,

@@ -6,17 +6,24 @@ Functional: {"coeffs": {"label": number, ...}}.
 Pair set: {"pairs": [["x", "y"], ...]}.
 
 Numbers in input files are JSON numbers or strings: "p/q", integer or
-decimal.  A distance matrix is read per array where it can be: a JSON
-matrix of plain numbers skips the per-cell parse, and in float mode a CSV
-file is read with one ``float`` pass per row.  Any other matrix, and a
-CSV file with a cell that pass rejects or reads as non-finite, goes
-through the per-cell parse, so what is accepted and every error message
-stay the same on both paths.  A zero denominator is a ``SchemaMismatch``.
+decimal.  A distance matrix is read per array where it can be:
+
+- in exact mode, a square matrix whose cells are all JSON integers or
+  ASCII ``[+-]digits[/digits]`` strings (JSON or CSV) goes straight onto
+  the integer lattice that ``FiniteMetricSpace.grid`` holds, with one
+  pattern match over the joined cells and one parse per distinct cell;
+- a JSON matrix of plain numbers skips the per-cell parse;
+- in float mode a CSV file is read with one ``float`` pass per row.
+
+Any other matrix, one with a zero denominator, and a CSV file with a
+cell the float pass rejects or reads as non-finite, goes through the
+per-cell parse, so what is accepted and every error message stay the
+same on every path.  A zero denominator is a ``SchemaMismatch``.
 
 Emitted numbers are fixed at 12 significant digits, except the distances
 of an exact space, which are written losslessly (integers as numbers,
 other rationals as "p/q" strings); float distances are rounded with one
-format over the whole matrix.  ``dumps`` writes exactly the bytes of
+``%`` format per row.  ``dumps`` writes exactly the bytes of
 ``json.dumps(doc, indent=2, allow_nan=False)``.  Keys keep their
 construction order, so identical runs are byte-identical.
 """
@@ -28,12 +35,23 @@ import io as _stdio
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from .errors import Error
-from .metric import FiniteMetricSpace, Functional, LipschitzPotential, validate_metric
+from .metric import (
+    FiniteMetricSpace,
+    Functional,
+    LipschitzPotential,
+    _int_dtype,
+    matrix_labels,
+    validate_grid,
+    validate_metric,
+)
 from .monotonicity import CycleCertificate, PairSet
 from .numerics import EXACT_SIZE_LIMIT, Number, exact_repr, round12
 from .transport import PairMeasure, TransportResult
@@ -68,29 +86,51 @@ def load_space(path: str, *, exact: bool | None = None, tol: float = 1e-9) -> Fi
         rows = list(csv.reader(_stdio.StringIO(_read_text(path))))
         if not rows:
             raise SchemaMismatch(f"{path}: empty CSV")
-        labels, cells = rows[0], rows[1:]
+        labels, dist = rows[0], rows[1:]
         if exact is None:
-            exact = len(cells) <= EXACT_SIZE_LIMIT
-        dist = None if exact else _float_rows(cells)
-        if dist is None:
-            dist = _parse_rows(path, cells)
+            exact = len(dist) <= EXACT_SIZE_LIMIT
+        if exact:
+            grid = _lattice_grid(dist)
+        else:
+            floats = _float_rows(dist)
+            grid = None if floats is None else _float_grid(floats)
+        if grid is None:
+            dist = _parse_rows(path, dist)
         if len(dist) != len(labels):
             raise SchemaMismatch(f"{path}: {len(labels)} labels but {len(dist)} rows")
+    else:
+        doc = _read_json(path)
+        if not isinstance(doc, dict) or "labels" not in doc or "dist" not in doc:
+            raise SchemaMismatch(f'{path}: expected {{"labels": [...], "dist": [[...]]}}')
+        labels = doc["labels"]
+        dist = doc["dist"]
+        if not isinstance(labels, list) or not isinstance(dist, list):
+            raise SchemaMismatch(f"{path}: labels and dist must be arrays")
+        if exact is None:
+            exact = len(dist) <= EXACT_SIZE_LIMIT
+        grid = _lattice_grid(dist) if exact else None
+        if grid is None:
+            try:
+                plain = {type(v) for row in dist for v in row} <= {int, float}
+            except TypeError:  # a row that is not an array: the per-cell path reports it
+                plain = False
+            if not plain:
+                dist = _parse_rows(path, dist)
+            elif not exact:
+                grid = _float_grid(dist)
+    if grid is None:
         return validate_metric(dist, labels, exact=exact, tol=tol)
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or "labels" not in doc or "dist" not in doc:
-        raise SchemaMismatch(f'{path}: expected {{"labels": [...], "dist": [[...]]}}')
-    labels = doc["labels"]
-    dist = doc["dist"]
-    if not isinstance(labels, list) or not isinstance(dist, list):
-        raise SchemaMismatch(f"{path}: labels and dist must be arrays")
-    try:
-        plain = {type(v) for row in dist for v in row} <= {int, float}
-    except TypeError:  # a row that is not an array: the per-cell path reports it
-        plain = False
-    if not plain:
-        dist = _parse_rows(path, dist)
-    return validate_metric(dist, labels, exact=exact, tol=tol)
+    return validate_grid(*grid, matrix_labels(dist, labels), exact=exact, tol=tol)
+
+
+def _square(rows) -> bool:
+    n = len(rows)
+    return n > 0 and all(type(row) is list and len(row) == n for row in rows)
+
+
+def _float_grid(rows: List[List[float]]) -> Tuple[np.ndarray, int] | None:
+    """A square matrix of ints and floats as float64, or None."""
+    return (np.array(rows, dtype=float), 1) if _square(rows) else None
 
 
 def _float_rows(cells: List[List[str]]) -> List[List[float]] | None:
@@ -101,6 +141,46 @@ def _float_rows(cells: List[List[str]]) -> List[List[float]] | None:
     except ValueError:
         return None
     return rows if all(map(math.isfinite, itertools.chain.from_iterable(rows))) else None
+
+
+def _lattice_grid(rows) -> Tuple[np.ndarray, int] | None:
+    """A square matrix of ints and ASCII ``[+-]digits[/digits]`` strings
+    on its integer lattice, as ``metric._lattice`` builds it from the
+    parsed rationals: the lcm of the reduced denominators, and int64
+    unless a sum of two entries could overflow.  None for any other
+    matrix, and for a zero denominator or a string past ``int``'s digit
+    limit, so the per-cell parse reads it or reports it.
+
+    Every other JSON value prints with some other character, and a cell
+    holding a comma adds a token, so one character-class match over the
+    joined cells leaves only signs, digits and slashes in each cell; each
+    distinct cell is then split at its first slash, and ``int`` rejects
+    any other arrangement of them.
+    """
+    if not _square(rows):
+        return None
+    text = ",".join(map(str, itertools.chain.from_iterable(rows)))
+    tokens = text.split(",")
+    if len(tokens) != len(rows) ** 2 or not re.fullmatch("[0-9+/,-]*", text):
+        return None
+    reduced = {}
+    try:
+        for token in dict.fromkeys(tokens):
+            num, slash, den = token.partition("/")
+            if slash and not den.isdigit():
+                return None
+            p, q = int(num), int(den or 1)
+            if q == 0:
+                return None
+            g = math.gcd(p, q)
+            reduced[token] = p // g, q // g
+    except ValueError:
+        return None
+    scale = math.lcm(*{q for _, q in reduced.values()})
+    value = {token: p * (scale // q) for token, (p, q) in reduced.items()}
+    dtype = _int_dtype(max(map(abs, value.values())))
+    a = np.array([value[t] for t in tokens], dtype=dtype)
+    return a.reshape(len(rows), len(rows)), scale
 
 
 def _parse_rows(path: str, rows) -> List[List[Number]]:

@@ -62,6 +62,11 @@ class NonzeroDiagonal(MetricError):
         super().__init__(f"dist[{i}][{i}] != 0", (i,))
 
 
+class NonFiniteDistance(MetricError):
+    def __init__(self, i: int, j: int):
+        super().__init__(f"dist[{i}][{j}] is not finite", (i, j))
+
+
 class TriangleViolation(MetricError):
     def __init__(self, i: int, j: int, k: int):
         super().__init__(f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}]", (i, j, k))
@@ -129,11 +134,28 @@ def validate_metric(
     """Check the four metric axioms and return the validated space.
 
     ``exact=None`` selects exact rational arithmetic for spaces with at
-    most 64 points and floats otherwise.  Float triangles may fail by up to
-    ``tol * max(1, largest distance)``; other float comparisons use ``tol``.
-    The error raised on failure names the violated axiom and a witness; a
-    triangle witness is the lexicographically first violating (i, j, k).
+    most 64 points and floats otherwise.  Float distances must be finite.
+    Float triangles may fail by up to ``tol * max(1, largest distance)``;
+    other float comparisons use ``tol``.  The error raised on failure names
+    the violated axiom and a witness; a triangle witness is the
+    lexicographically first violating (i, j, k).
     """
+    labels = matrix_labels(raw, labels)
+    if exact is None:
+        exact = len(raw) <= EXACT_SIZE_LIMIT
+    if exact:
+        a, scale = _lattice([[coerce(v, True) for v in row] for row in raw])
+    else:
+        plain = {type(v) for row in raw for v in row} <= {int, float}
+        m = raw if plain else [[coerce(v, False) for v in row] for row in raw]
+        a, scale = np.array(m, dtype=float), 1
+    return validate_grid(a, scale, labels, exact=exact, tol=tol)
+
+
+def matrix_labels(raw: Sequence[Sequence[Number]], labels: Sequence[str] | None = None) -> Tuple[str, ...]:
+    """The shape checks of ``validate_metric``: ``raw`` is a non-empty
+    square matrix and ``labels`` (default "0", "1", ...) name each of its
+    points once.  Returns the labels as strings."""
     n = len(raw)
     if n == 0:
         raise MetricError("empty matrix")
@@ -147,25 +169,32 @@ def validate_metric(
         raise MetricError(f"{len(labels)} labels for a {n}x{n} matrix")
     if len(set(labels)) != n:
         raise MetricError("duplicate point labels")
+    return labels
 
-    if exact is None:
-        exact = n <= EXACT_SIZE_LIMIT
-    # One code path for both modes: integers compare with tolerance 0,
-    # floats as the Comparator does, abs(x - y) <= tol.
-    if exact:
-        m = [[coerce(v, True) for v in row] for row in raw]
-        (a, scale), t = _lattice(m), 0
-    else:
-        plain = {type(v) for row in raw for v in row} <= {int, float}
-        m = raw if plain else [[coerce(v, False) for v in row] for row in raw]
-        a, scale, t = np.array(m, dtype=float), 1, tol
 
+def validate_grid(
+    a: np.ndarray, scale: int, labels: Tuple[str, ...], *, exact: bool, tol: float = DEFAULT_TOLERANCE
+) -> FiniteMetricSpace:
+    """The axiom checks of ``validate_metric`` on a square matrix already in
+    the form ``FiniteMetricSpace.grid`` holds, with ``labels`` as
+    ``matrix_labels`` returns them; the space they validate keeps ``a``
+    (its diagonal zeroed, read-only) as its grid.
+
+    One code path for both modes: integers compare with tolerance 0,
+    floats as the Comparator does, ``abs(x - y) <= tol``.  Exact ``dist``
+    holds one ``Fraction(v, scale)`` per distinct integer ``v``.
+    """
+    t = 0 if exact else tol
+    if not exact:
+        bad = ~np.isfinite(a)
+        if bad.any():
+            raise NonFiniteDistance(*(int(x) for x in np.argwhere(bad)[0]))
     bad = ~(np.abs(a.diagonal()) <= t)
     if bad.any():
         i = int(np.argmax(bad))
         raise NegativeDistance(i, i) if a[i, i] < 0 else NonzeroDiagonal(i)
     np.fill_diagonal(a, 0)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+    with np.errstate(over="ignore"):  # a difference that overflows is not within tol
         asym = ~(np.abs(a - a.T) <= t)
     neg = a < 0
     bad = np.triu(asym | neg | (np.abs(a) <= t), 1)
@@ -179,8 +208,14 @@ def validate_metric(
     if witness is not None:
         raise TriangleViolation(*witness)
 
-    rows = m if exact else a.tolist()
-    space = FiniteMetricSpace(labels, tuple(tuple(row) for row in rows), exact, tol)
+    if exact:
+        values, where = np.unique(a.ravel(), return_inverse=True)
+        fractions = np.empty(len(values), dtype=object)
+        fractions[:] = [Fraction(v, scale) for v in values.tolist()]
+        rows = fractions[where].reshape(a.shape).tolist()
+    else:
+        rows = a.tolist()
+    space = FiniteMetricSpace(labels, tuple(map(tuple, rows)), exact, tol)
     a.setflags(write=False)
     object.__setattr__(space, "grid", (a, scale))
     return space
@@ -188,18 +223,34 @@ def validate_metric(
 
 def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] | None:
     """The first (i, j, k), row-major, with
-    ``a[i, j] + a[j, k] - a[i, k] < -threshold``, or None.
+    ``a[i, j] + a[j, k] - a[i, k] < -threshold``, or None; the diagonal of
+    ``a`` is zero and ``threshold`` is not negative.
 
-    Row i fails iff ``min_j (a[i, j] + a[j, k]) - a[i, k] < -threshold`` for
-    some k: rounding is monotone, so the smallest sum decides, and ``fmin``
-    skips a NaN sum as the comparison does.  A float sum that overflows to
-    inf cannot violate, so overflow is not reported.  Only a failing row
-    builds the full mask, to name the witness.
+    Both screens below are sound because rounding is monotone, so a
+    smaller sum never rounds to a larger slack, and ``fmin`` skips a NaN as
+    the comparison does.  For j in {i, k} the slack is 0, so only a j off
+    both ends can fail, and then ``a[i, j] + a[j, k]`` is at least
+    ``r[i] + c[k]``, the off-diagonal minima of row i and column k.  One
+    O(n²) pass keeps only the rows with some k where
+    ``r[i] + c[k] - a[i, k] < -threshold``; a matrix whose distances all
+    lie in [m, 2m], such as a uniformly discrete one, keeps none.  A kept
+    row fails iff ``min_j (a[i, j] + a[j, k]) - a[i, k] < -threshold`` for
+    some k, and only a failing row builds the full mask, to name the
+    witness.  A float sum that overflows to inf cannot violate, so
+    overflow is not reported.
     """
     n = len(a)
-    sums, low = np.empty_like(a), np.empty(n, dtype=a.dtype)
+    if n < 2:
+        return None
+    sums, low = a.copy(), np.empty(n, dtype=a.dtype)
+    # No off-diagonal entry exceeds the largest one, so on that diagonal
+    # the minima are the off-diagonal ones.
+    np.fill_diagonal(sums, np.fmax.reduce(a, axis=None))
     with np.errstate(over="ignore"):
-        for i in range(n):
+        r, c = np.fmin.reduce(sums, axis=1), np.fmin.reduce(sums, axis=0)
+        np.subtract(np.add(r[:, None], c, out=sums), a, out=sums)
+        rows = np.flatnonzero((sums < -threshold).any(axis=1))
+        for i in rows.tolist():
             np.fmin.reduce(np.add(a[i, :, None], a, out=sums), axis=0, out=low)
             if (low - a[i] < -threshold).any():
                 bad = a[i, :, None] + a - a[i, None, :] < -threshold
@@ -218,8 +269,14 @@ def _lattice(m: Sequence[Sequence[Fraction]], scale: int = 1) -> Tuple[np.ndarra
     """
     scale = math.lcm(scale, *(v.denominator for row in m for v in row))
     ints = [[v.numerator * (scale // v.denominator) for v in row] for row in m]
-    wide = 2 * max((abs(v) for row in ints for v in row), default=0) >= 2**63
-    return np.array(ints, dtype=object if wide else np.int64), scale
+    top = max((abs(v) for row in ints for v in row), default=0)
+    return np.array(ints, dtype=_int_dtype(top)), scale
+
+
+def _int_dtype(top: int) -> type:
+    """int64 when the sum of two integers of magnitude ``top`` fits in it,
+    else ``object`` (Python ints)."""
+    return object if 2 * top >= 2**63 else np.int64
 
 
 def _on_lattice(
@@ -247,15 +304,21 @@ def _ratio_extreme(num: np.ndarray, den: np.ndarray, largest: bool) -> Number:
     Float arrays divide in IEEE double.  Integer arrays are prefiltered in
     float64, whose rounding of an integer or a quotient is correct, so the
     exact extreme is among the quotients within a relative 1e-9 of the
-    float one; those few are settled as Fractions.
+    float one; those few are settled by cross-multiplying Python ints, and
+    only the winner becomes a Fraction.
     """
     q = np.asarray(num / den, dtype=float)
     best = q.max() if largest else q.min()
     if num.dtype == float:
         return float(best)
     near = np.flatnonzero(np.abs(q - best) <= 1e-9 * best)
-    pick = max if largest else min
-    return pick(Fraction(int(num[k]), int(den[k])) for k in near)
+    sign = 1 if largest else -1
+    ps, qs = num[near].tolist(), den[near].tolist()
+    bp, bq = ps[0], qs[0]
+    for x, y in zip(ps, qs):
+        if sign * (x * bq - bp * y) > 0:
+            bp, bq = x, y
+    return Fraction(bp, bq)
 
 
 def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:

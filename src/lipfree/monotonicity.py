@@ -119,7 +119,7 @@ def cycle_slack(cycle: Sequence[Pair], space: FiniteMetricSpace) -> Number:
 def _cycle_eps(space: FiniteMetricSpace) -> Number:
     """Slack a violating cycle must fall below; in float mode it scales with
     the distances, as the round-off of their sums does."""
-    return 0 if space.exact else FLOAT_CYCLE_EPS * max(1.0, max(map(max, space.dist)))
+    return 0 if space.exact else FLOAT_CYCLE_EPS * max(1.0, float(space.grid[0].max()))
 
 
 def _bellman_ford(weight, dist):

@@ -3,6 +3,7 @@ import enum
 import io as stdio
 import json
 import math
+import random
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -206,10 +207,13 @@ def _reference_load(path, labels, rows, exact):
 
 
 def _load_outcome(fn):
+    """The space's distances and grid (dtype, contents, scale), or the error."""
     try:
-        return repr(fn().dist)
+        sp = fn()
     except (Error, ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
+    a, scale = sp.grid
+    return repr(sp.dist), a.dtype.str, repr(a.tolist()) if a.dtype == object else a.tobytes(), scale
 
 
 _CELLS = [
@@ -217,6 +221,7 @@ _CELLS = [
     "1/0", "-0", "7/3", "0007/0003", "1_0/3", "+-1/2", "1/2/3", "\u0663/4", "\u00b2/3", "3/\u00b2",
     "2.5", "1e-3",
     "10" * 200, True, None, [1, 2], 2.5, 3, 10**400,
+    "6/12", "0/0", "-0/5", "+0003", "1,2", "2,", "4/2/", "10" * 2200, 10**19, "99999999999999999999/7",
 ]
 
 
@@ -242,3 +247,62 @@ def test_per_array_load_matches_per_cell_reference(tmp_path, n, exact):
             got = _load_outcome(lambda: lfio.load_space(str(path), exact=exact))
             want = _load_outcome(lambda: _reference_load(str(path), labels, cells, exact))
             assert got == want, (cell, path.suffix)
+
+
+def _write_space(tmp_path, name, labels, rows):
+    """The matrix as a JSON file and as a CSV file, non-strings as JSON."""
+    as_json = tmp_path / f"{name}.json"
+    as_json.write_text(json.dumps({"labels": labels, "dist": rows}))
+    buf = stdio.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [labels] + [[v if isinstance(v, str) else json.dumps(v) for v in row] for row in rows]
+    )
+    as_csv = tmp_path / f"{name}.csv"
+    as_csv.write_text(buf.getvalue())
+    return (as_json, rows), (as_csv, list(csv.reader(stdio.StringIO(buf.getvalue())))[1:])
+
+
+def _spelled(v, rng):
+    """A rational as a JSON int or as one of its "p/q" spellings: reduced,
+    unreduced, with a sign and leading zeros, or as a bare integer."""
+    k = rng.randrange(5)
+    if v.denominator == 1 and k == 0:
+        return int(v)
+    if v.denominator == 1 and k == 1:
+        return str(v.numerator)
+    if k == 2:
+        return f"{3 * v.numerator}/{3 * v.denominator}"
+    if k == 3:
+        return f"+00{v.numerator}/0{v.denominator}"
+    return f"{v.numerator}/{v.denominator}"
+
+
+@pytest.mark.parametrize("exact", [None, True])
+def test_lattice_load_matches_per_cell_reference(tmp_path, exact):
+    # All-string and mixed int / "p/q" matrices, on int64 and Python-int
+    # lattices, some with a negative, tiny, zero-denominator or asymmetric
+    # entry: the same distances and grid, or the same error, as the
+    # per-cell parse.
+    rng = random.Random(12)
+    lattices = set()
+    for t in range(48):
+        sp = random_space(2 + t % 9, t)
+        mult = [1, F(7, 5), 12, F(10**20 + 39, 10**19 + 7)][t % 4]
+        rows = [[_spelled(v * mult, rng) for v in row] for row in sp.dist]
+        fault = t // 4 % 5
+        if fault == 1:
+            rows[0][1] = "-" + str(rows[0][1]).lstrip("+")
+        elif fault == 2:
+            rows[1][0] = rows[0][1] = "1/1000000"
+        elif fault == 3:
+            rows[1][0] = "5/0"
+        elif fault == 4:
+            rows[0][1] = "1/3"
+        labels = [f"q{i}" for i in range(sp.n)]
+        for path, cells in _write_space(tmp_path, f"m{t}", labels, rows):
+            got = _load_outcome(lambda: lfio.load_space(str(path), exact=exact))
+            want = _load_outcome(lambda: _reference_load(str(path), labels, cells, exact))
+            assert got == want, (t, path.suffix)
+            if len(got) == 4:
+                lattices.add(got[1])
+    assert lattices == {"|O", "<i8"}

@@ -24,6 +24,7 @@ from lipfree import (
 from lipfree.embedding import _worst_pair_separation
 from lipfree.metric import (
     MetricError,
+    NonFiniteDistance,
     NonzeroDiagonal,
     _cone_envelope,
     _lattice,
@@ -453,16 +454,102 @@ def test_triangle_prefilter_matches_full_mask():
     assert found >= 100
 
 
+def test_triangle_screen_matches_full_mask():
+    # The row screen compares r[i] + c[k] with a[i, k], r and c the
+    # off-diagonal row and column minima.  Asymmetric matrices tell the two
+    # minima apart; uniformly discrete ones (every distance in [1/2, 1],
+    # as in the exotic metric) pass the screen in every row unless broken.
+    rng = np.random.default_rng(21)
+    found = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 14))
+        if trial % 2:
+            a = rng.integers(1, 20, size=(n, n))
+            threshold = float(rng.choice([0.0, 0.5, 3.0]))
+        else:
+            a = rng.integers(12, 25, size=(n, n))  # [1/2, 1] in 24ths
+            if trial % 4 == 0:
+                i, k = rng.integers(0, n, size=2)
+                a[i, k] = 25 + int(rng.integers(0, 30))
+            threshold = 0.0
+        np.fill_diagonal(a, 0)
+        for b in (a.astype(float), a.astype(float) / 24, a, a.astype(object)):
+            witness = _triangle_reference(b, threshold)
+            assert _triangle_witness(b, threshold) == witness
+            found += witness is not None
+    assert found >= 300
+
+
+def test_triangle_screen_on_float_matrices_asymmetric_within_tol():
+    # Every distance near 3/8, symmetric only to within tol, except a short
+    # detour i -> j -> k of 1/4 + 1/4 whose reverse legs are longer: r[i]
+    # and c[k] are attained on the detour, so raising d(i, k) to the
+    # threshold and one ulp past it puts the screen on its boundary.
+    tol = 2.0**-20
+    rng = np.random.default_rng(4)
+    for trial in range(40):
+        n = int(rng.integers(3, 30))
+        a = 3 / 8 + rng.integers(-2, 3, size=(n, n)) * 2.0**-23  # asymmetric by at most tol / 2
+        np.fill_diagonal(a, 0)
+        i, j, k = (int(x) for x in rng.choice(n, size=3, replace=False))
+        a[i, j] = a[j, k] = 1 / 4
+        a[j, i] = a[k, j] = 1 / 4 + 2.0**-22
+        for a_ik, violated in ((1 / 2 + tol, False), (np.nextafter(1 / 2 + tol, 1.0), True)):
+            a[i, k] = a[k, i] = a_ik
+            witness = _triangle_reference(a, tol)
+            assert (witness is not None) == violated
+            assert _triangle_witness(a, tol) == witness
+            try:
+                validate_metric(a.tolist(), exact=False, tol=tol)
+            except TriangleViolation as exc:
+                assert exc.witness == witness
+            else:
+                assert witness is None
+
+
+def test_ratio_extreme_settles_ties_in_integers():
+    # Rows of one value spelled many ways, and near ties closer than float
+    # resolution: the same extreme as a Fraction max or min.
+    rng = random.Random(9)
+    for trial in range(300):
+        base = [(rng.randint(0 if trial % 50 == 0 else 1, 50), rng.randint(1, 50)) for _ in range(3)]
+        num, den = [], []
+        for _ in range(rng.randint(1, 30)):
+            p, q = rng.choice(base)
+            k = rng.choice([1, 2, 3, 10**6, 10**15])
+            num.append(p * k)
+            den.append(q * k)
+            if p and rng.random() < 0.5:
+                num.append(p * 10**15 + rng.choice([-1, 1]))
+                den.append(q * 10**15)
+        dtypes = [np.int64, object]
+        if trial % 3 == 0:
+            num, den, dtypes = [v * 10**20 for v in num], [v * 10**20 + 1 for v in den], [object]
+        fractions = [F(x, y) for x, y in zip(num, den)]
+        for dtype in dtypes:
+            arrays = np.array(num, dtype=dtype), np.array(den, dtype=dtype)
+            assert repr(_ratio_extreme(*arrays, largest=True)) == repr(max(fractions))
+            assert repr(_ratio_extreme(*arrays, largest=False)) == repr(min(fractions))
+
+
 def test_nan_entries_fail_before_the_triangle_check():
+    # A non-finite distance is its own error, raised before any axiom, with
+    # the row-major first non-finite entry as witness.
     a = _dyadic_metric(128, seed=5)
     a[7, 90] = a[90, 7] = np.nan
-    with pytest.raises(AsymmetricMatrix) as exc:
+    with pytest.raises(NonFiniteDistance) as exc:
         validate_metric(a.tolist(), exact=False)
     assert exc.value.witness == (7, 90)
     a[7, 7] = np.nan
-    with pytest.raises(NonzeroDiagonal) as exc:
+    with pytest.raises(NonFiniteDistance) as exc:
         validate_metric(a.tolist(), exact=False)
-    assert exc.value.witness == (7,)
+    assert exc.value.witness == (7, 7)
+    a = _dyadic_metric(128, seed=5)
+    a[90, 7] = -np.inf  # asymmetric and negative too
+    a[3, 3] = 1.0  # a nonzero diagonal entry ahead of it in row-major order
+    with pytest.raises(NonFiniteDistance) as exc:
+        validate_metric(a.tolist(), exact=False)
+    assert exc.value.witness == (90, 7)
 
 
 def test_float_validation_emits_no_warnings():
@@ -471,8 +558,10 @@ def test_float_validation_emits_no_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert validate_metric(big, exact=False).n == 3  # the triangle sums overflow
-        with pytest.raises(MetricError):
-            validate_metric(inf, exact=False)  # inf - inf in the symmetry check
+        with pytest.raises(NonFiniteDistance):
+            validate_metric(inf, exact=False)  # inf - inf would be NaN in the symmetry check
+        with pytest.raises(AsymmetricMatrix):
+            validate_metric([[0.0, 1e308], [-1e308, 0.0]], exact=False)  # the difference overflows
 
 
 def test_error_payloads():
@@ -482,6 +571,7 @@ def test_error_payloads():
         (NegativeDistance(2, 3), "dist[2][3] < 0", [2, 3]),
         (ZeroOffDiagonal(1, 2), "dist[1][2] = 0 for distinct points (duplicates are a hard error)", [1, 2]),
         (NonzeroDiagonal(4), "dist[4][4] != 0", [4]),
+        (NonFiniteDistance(1, 2), "dist[1][2] is not finite", [1, 2]),
         (TriangleViolation(0, 1, 2), "dist[0][2] > dist[0][1] + dist[1][2]", [0, 1, 2]),
     ]
     for exc, message, witness in cases:
