@@ -15,6 +15,7 @@ iterates back into the 1-Lipschitz cone with envelope midpoints.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -25,10 +26,10 @@ from .errors import Error
 from .metric import (
     FiniteMetricSpace,
     LipschitzPotential,
-    _cone_envelope,
+    _cone_top,
     _on_lattice,
     _ratio_extreme,
-    lip_constant,
+    _upper_pairs,
 )
 from .numerics import Number, coerce
 
@@ -88,11 +89,17 @@ def _worst_pair_separation(
     if n < 2:
         return coerce(1, space.exact)
     v, d, _ = _on_lattice(rows, space)
-    sep = np.zeros((n, n), dtype=v.dtype)
-    for r in v:
-        np.maximum(sep, np.abs(r[:, None] - r), out=sep)
-    i, j = np.triu_indices(n, 1)
-    return _ratio_extreme(sep[i, j], d[i, j], largest=False)
+    i, j = _upper_pairs(n)
+    return _ratio_extreme(_pair_spread(v, i, j), d[i, j], largest=False)
+
+
+def _pair_spread(v: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """max over the rows r of ``v`` of |r[i] - r[j]|, for each pair (i, j).
+
+    Row by row: for 3 rows of 1128 pairs, ``np.maximum`` over the rows
+    took 4 us where ``max(axis=0)`` took 66 us.
+    """
+    return functools.reduce(np.maximum, np.abs(v.take(i, axis=1) - v.take(j, axis=1)))
 
 
 def _report_from_values(
@@ -128,27 +135,36 @@ def frechet_embedding(space: FiniteMetricSpace) -> EmbeddingReport:
     return _report_from_values(rows, space)
 
 
-def _envelope_midpoint(values: List[float], space: FiniteMetricSpace) -> List[float]:
-    """Midpoint of the upper and lower 1-Lipschitz envelopes of a vector."""
-    upper = [-v for v in _cone_envelope(space.points, [-v for v in values], space)]
-    lower = _cone_envelope(space.points, values, space)
-    return [(u + l) / 2.0 for u, l in zip(upper, lower)]
+def _envelope_midpoint(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Midpoint of the upper and lower 1-Lipschitz envelopes of a vector
+    on the float distance matrix ``d``."""
+    upper = -_cone_top(-v, d)
+    lower = _cone_top(v, d)
+    return (upper + lower) / 2.0
 
 
-def _project_unit_ball(values: List[float], space: FiniteMetricSpace, rounds: int = 25) -> List[float]:
-    """Pull a vector into the 1-Lipschitz cone, then pin the base point."""
-    vals = list(values)
+def _project_unit_ball(
+    v: np.ndarray, d: np.ndarray, pairs: Tuple[np.ndarray, np.ndarray, np.ndarray], rounds: int = 25
+) -> np.ndarray:
+    """Pull a vector into the 1-Lipschitz cone, then pin the base point.
+
+    ``pairs`` holds the pairs i < j and their distances ``d[i, j]``.
+    """
+    i, j, dij = pairs
+
+    def lip(v):
+        return float((np.abs(v[i] - v[j]) / dij).max(initial=0.0))
+
     for _ in range(rounds):
-        lip = float(lip_constant(vals, space))
-        if lip <= 1.0 + 1e-12:
+        value = lip(v)
+        if value <= 1.0 + 1e-12:
             break
-        vals = _envelope_midpoint(vals, space)
+        v = _envelope_midpoint(v, d)
     else:
-        lip = float(lip_constant(vals, space))
-    if lip > 1.0:
-        vals = [v / lip for v in vals]
-    base = vals[0]
-    return [v - base for v in vals]
+        value = lip(v)
+    if value > 1.0:
+        v = v / value
+    return v - v[0]
 
 
 def best_embedding_search(
@@ -165,33 +181,37 @@ def best_embedding_search(
     back into the unit ball and keeps the move if the objective improves.
     Reports the best family found (a lower bound for dimension n);
     deterministic for a fixed seed.
+
+    Runs in float mode on arrays: a family is one ``(n, points)`` float64
+    matrix, and the pairs i < j with their distances are gathered once
+    per search.
     """
     if n < 1:
         raise ValueError("need at least one coordinate")
     fspace = space if not space.exact else space.with_mode(exact=False)
+    m = fspace.n
+    d, _ = fspace.grid
+    i, j = _upper_pairs(m)
+    dij = d[i, j]
+    pairs = i, j, dij
     rng = random.Random(seed)
-    scale = max(float(fspace.d(i, 0)) for i in range(fspace.n)) or 1.0
+    scale = float(d[:, 0].max()) or 1.0
 
-    frechet_rows = [
-        [float(fspace.d(x, j)) - float(fspace.d(0, j)) for x in range(fspace.n)]
-        for j in range(fspace.n)
-    ]
+    frechet_rows = (d - d[0]).T  # row j: d(x, j) - d(0, j)
 
-    def random_rows(fam: List[List[float]]) -> List[List[float]]:
+    def random_rows(fam: List[np.ndarray]) -> List[np.ndarray]:
         while len(fam) < n:
-            row = [0.0] + [rng.uniform(-scale, scale) for _ in range(fspace.n - 1)]
-            fam.append(_project_unit_ball(row, fspace))
+            row = np.array([0.0] + [rng.uniform(-scale, scale) for _ in range(m - 1)])
+            fam.append(_project_unit_ball(row, d, pairs))
         return fam
 
-    starts: List[List[List[float]]] = []
-    starts.append([list(frechet_rows[j]) for j in range(min(n, fspace.n))])
-    while len(starts[0]) < n:
-        starts[0].append([0.0] * fspace.n)
+    starts: List[List[np.ndarray]] = [list(frechet_rows[: min(n, m)])]
+    starts[0] += [np.zeros(m)] * (n - len(starts[0]))
     n_restarts = 4
     for _ in range(n_restarts - 1):
-        if fspace.n > 1 and rng.random() < 0.5:
-            picks = rng.sample(range(fspace.n), k=min(n, fspace.n))
-            fam = [list(frechet_rows[j]) for j in picks]
+        if m > 1 and rng.random() < 0.5:
+            picks = rng.sample(range(m), k=min(n, m))
+            fam = list(frechet_rows[picks])
         else:
             fam = []
         starts.append(random_rows(fam))
@@ -200,19 +220,22 @@ def best_embedding_search(
     best_val = -1.0
     per_restart = max(1, iterations // len(starts))
 
-    def climb(fam: List[List[float]]) -> None:
+    def objective(fam: np.ndarray) -> float:
+        return float((_pair_spread(fam, i, j) / dij).min()) if m > 1 else 1.0
+
+    def climb(fam: List[np.ndarray]) -> None:
         nonlocal best_rows, best_val
-        fam = [_project_unit_ball(row, fspace) for row in fam]
-        val = _worst_pair_separation(fam, fspace)
+        fam = np.array([_project_unit_ball(row, d, pairs) for row in fam])
+        val = objective(fam)
         for _ in range(per_restart):
             k = rng.randrange(n)
-            i = rng.randrange(1, fspace.n) if fspace.n > 1 else 0
+            x = rng.randrange(1, m) if m > 1 else 0
             delta = rng.uniform(-0.5, 0.5) * scale
-            candidate_row = list(fam[k])
-            candidate_row[i] += delta
-            candidate_row = _project_unit_ball(candidate_row, fspace)
-            candidate = fam[:k] + [candidate_row] + fam[k + 1 :]
-            cand_val = _worst_pair_separation(candidate, fspace)
+            row = fam[k].copy()
+            row[x] += delta
+            candidate = fam.copy()
+            candidate[k] = _project_unit_ball(row, d, pairs)
+            cand_val = objective(candidate)
             if cand_val > val:
                 fam, val = candidate, cand_val
         if val > best_val:
@@ -228,4 +251,4 @@ def best_embedding_search(
             break
         climb(random_rows([]))
 
-    return _report_from_values(best_rows, fspace)
+    return _report_from_values(best_rows.tolist(), fspace)

@@ -13,19 +13,22 @@ decimal.  A distance matrix is read per array where it can be:
   the integer lattice that ``FiniteMetricSpace.grid`` holds, with one
   pattern match over the joined cells and one parse per distinct cell;
 - a JSON matrix of plain numbers skips the per-cell parse;
-- in float mode a CSV file is read with one ``float`` pass per row.
+- in float mode a CSV file is read with one ``float`` per distinct cell,
+  one finiteness check per distinct value and one gather into the array
+  (``_csv_float_grid``).
 
 Any other matrix, one with a zero denominator, and a CSV file with a
-cell the float pass rejects or reads as non-finite, goes through the
-per-cell parse, so what is accepted and every error message stay the
-same on every path.  A zero denominator is a ``SchemaMismatch``.
+cell ``float`` rejects or reads as non-finite, goes through the per-cell
+parse, so what is accepted and every error message stay the same on
+every path.  A zero denominator is a ``SchemaMismatch``.
 
 Emitted numbers are fixed at 12 significant digits, except the distances
 of an exact space, which are written losslessly (integers as numbers,
-other rationals as "p/q" strings); float distances are rounded with one
-``%`` format per row.  ``dumps`` writes exactly the bytes of
-``json.dumps(doc, indent=2, allow_nan=False)``.  Keys keep their
-construction order, so identical runs are byte-identical.
+other rationals as "p/q" strings); float distances are rounded once per
+distinct bit pattern and scattered back (``_distinct12``).  ``dumps``
+writes exactly the bytes of ``json.dumps(doc, indent=2,
+allow_nan=False)``.  Keys keep their construction order, so identical
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def _read_json(path: str) -> Any:
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -89,11 +92,7 @@ def load_space(path: str, *, exact: bool | None = None, tol: float = 1e-9) -> Fi
         labels, dist = rows[0], rows[1:]
         if exact is None:
             exact = len(dist) <= EXACT_SIZE_LIMIT
-        if exact:
-            grid = _lattice_grid(dist)
-        else:
-            floats = _float_rows(dist)
-            grid = None if floats is None else _float_grid(floats)
+        grid = _lattice_grid(dist) if exact else _csv_float_grid(dist)
         if grid is None:
             dist = _parse_rows(path, dist)
         if len(dist) != len(labels):
@@ -111,13 +110,13 @@ def load_space(path: str, *, exact: bool | None = None, tol: float = 1e-9) -> Fi
         grid = _lattice_grid(dist) if exact else None
         if grid is None:
             try:
-                plain = {type(v) for row in dist for v in row} <= {int, float}
+                plain = set(map(type, itertools.chain.from_iterable(dist))) <= {int, float}
             except TypeError:  # a row that is not an array: the per-cell path reports it
                 plain = False
             if not plain:
                 dist = _parse_rows(path, dist)
-            elif not exact:
-                grid = _float_grid(dist)
+            elif not exact and _square(dist):
+                grid = np.array(dist, dtype=float), 1
     if grid is None:
         return validate_metric(dist, labels, exact=exact, tol=tol)
     return validate_grid(*grid, matrix_labels(dist, labels), exact=exact, tol=tol)
@@ -128,19 +127,31 @@ def _square(rows) -> bool:
     return n > 0 and all(type(row) is list and len(row) == n for row in rows)
 
 
-def _float_grid(rows: List[List[float]]) -> Tuple[np.ndarray, int] | None:
-    """A square matrix of ints and floats as float64, or None."""
-    return (np.array(rows, dtype=float), 1) if _square(rows) else None
+def _csv_float_grid(cells: List[List[str]]) -> Tuple[np.ndarray, int] | None:
+    """A square matrix of CSV cells as finite float64, scale 1, or None
+    when a cell is not that (``_parse_number`` then reads it or reports it).
 
-
-def _float_rows(cells: List[List[str]]) -> List[List[float]] | None:
-    """CSV cells as finite floats in one pass per row, or None when a cell
-    needs ``_parse_number`` (which then accepts it or reports it)."""
+    A matrix whose first row repeats cells, such as one with few distinct
+    distances, reads each distinct cell once and gathers the rest from
+    that table.  One whose first row is mostly distinct reads every cell:
+    a table as large as the matrix costs more than it saves.
+    """
+    if not _square(cells):
+        return None
+    n = len(cells)
+    chain = itertools.chain.from_iterable
     try:
-        rows = [list(map(float, row)) for row in cells]
+        if 2 * len(set(cells[0])) > n:
+            floats = read = list(map(float, chain(cells)))
+        else:
+            value = {t: float(t) for t in dict.fromkeys(chain(cells))}
+            read = value.values()
+            floats = map(value.__getitem__, chain(cells))
     except ValueError:
         return None
-    return rows if all(map(math.isfinite, itertools.chain.from_iterable(rows))) else None
+    if not all(map(math.isfinite, read)):
+        return None
+    return np.fromiter(floats, dtype=float, count=n * n).reshape(n, n), 1
 
 
 def _lattice_grid(rows) -> Tuple[np.ndarray, int] | None:
@@ -255,7 +266,8 @@ def space_doc(space: FiniteMetricSpace) -> Dict:
     if space.exact:
         dist = [[_exact_number(v) for v in row] for row in space.dist]
     else:
-        dist = [list(map(float, row)) for row in _rows12(space)]
+        text, where = _distinct12(space)
+        dist = np.array(list(map(float, text)), dtype=object)[where].tolist()
     return {"labels": list(space.labels), "dist": dist}
 
 
@@ -265,17 +277,24 @@ def space_csv(space: FiniteMetricSpace) -> str:
     if space.exact:
         rows = [[exact_repr(v) for v in row] for row in space.dist]
     else:
-        rows = _rows12(space)
+        text, where = _distinct12(space)
+        rows = np.array(text, dtype=object)[where].tolist()
     # Numbers hold no comma, quote or newline, so no cell needs quoting.
     buf.writelines(",".join(row) + "\n" for row in rows)
     return buf.getvalue()
 
 
-def _rows12(space: FiniteMetricSpace) -> Iterator[List[str]]:
-    """The distances at 12 significant digits, as ``round12`` writes them,
-    one ``%`` format per row."""
-    fmt = " ".join(["%.12g"] * space.n)
-    return ((fmt % tuple(row)).split(" ") for row in space.dist)
+def _distinct12(space: FiniteMetricSpace) -> Tuple[List[str], np.ndarray]:
+    """The distinct distances at 12 significant digits, as ``round12``
+    writes them, and the index of each cell's among them.
+
+    Distinct means a distinct bit pattern, so ``-0.0`` keeps its sign;
+    all of them are formatted by one ``%``.
+    """
+    a, _ = space.grid
+    bits, where = np.unique(a.view(np.int64), return_inverse=True)
+    text = " ".join(["%.12g"] * len(bits)) % tuple(bits.view(float).tolist())
+    return text.split(" "), where.reshape(a.shape)
 
 
 def potential_doc(f: LipschitzPotential, space: FiniteMetricSpace) -> Dict:
@@ -315,9 +334,10 @@ def dumps(doc: Any) -> str:
     The text is that of ``json.dumps(doc, indent=2, allow_nan=False)``,
     whose indented form runs the standard library's pure-Python encoder;
     ``_encode`` writes the same bytes for the types the CLI emits, and a
-    list of floats in one ``join``.  Anything else (other types, non-finite
-    floats, non-string keys, a cycle) goes to ``json.dumps``, which writes
-    it or raises its usual ``TypeError`` or ``ValueError``.
+    list of floats in one ``join`` (see ``_float_texts``).  Anything else
+    (other types, non-finite floats, non-string keys, a cycle) goes to
+    ``json.dumps``, which writes it or raises its usual ``TypeError`` or
+    ``ValueError``.
     """
     try:
         return _encode(doc, "\n") + "\n"
@@ -352,10 +372,8 @@ def _encode(o: Any, newline: str) -> str:
     if t is list or t is tuple:
         if not o:
             return "[]"
-        if all(type(v) is float for v in o):
-            if not all(map(math.isfinite, o)):
-                raise _Unsupported
-            items = map(float.__repr__, o)
+        if set(map(type, o)) == {float}:
+            items = _float_texts(o)
         else:
             items = [_encode(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -367,3 +385,29 @@ def _encode(o: Any, newline: str) -> str:
         items = [_quote(k) + ": " + _encode(v, inner) for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise _Unsupported
+
+
+#: How many leading cells ``_float_texts`` looks at to choose its path.
+_HEAD = 32
+
+
+def _float_texts(o) -> Iterator[str]:
+    """``float.__repr__`` of each float in ``o``.
+
+    ``space_doc`` puts one float object per distinct distance in every
+    cell that holds it, so a list whose first cells share an object is
+    formatted once per distinct object (``o`` holds them all, so no two
+    share an id).  A list whose first cells are all distinct objects is
+    formatted cell by cell, which costs less when few of them repeat.
+    """
+    head = o[:_HEAD]
+    if len(set(map(id, head))) == len(head):
+        if not all(map(math.isfinite, o)):
+            raise _Unsupported
+        return map(float.__repr__, o)
+    ids = list(map(id, o))
+    first = dict(zip(ids, o))
+    if not all(map(math.isfinite, first.values())):
+        raise _Unsupported
+    text = dict(zip(first, map(float.__repr__, first.values())))
+    return map(text.__getitem__, ids)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -119,7 +119,20 @@ class FiniteMetricSpace:
         return ((i, j) for i in range(n) for j in range(n) if i != j)
 
     def with_mode(self, exact: bool, tol: float = DEFAULT_TOLERANCE) -> "FiniteMetricSpace":
-        """Same space with its numbers converted to the other arithmetic mode."""
+        """Same space with its numbers converted to the other arithmetic mode.
+
+        To float from a lattice whose entries and scale are below 2**53,
+        one array division: both convert to float64 exactly and the
+        quotient is correctly rounded, as ``float(Fraction)`` is.
+        """
+        if not exact:
+            a, scale = self.grid
+            if a.dtype != object and scale < 2**53 and np.abs(a).max(initial=0) < 2**53:
+                floats = a / scale
+                floats.setflags(write=False)
+                space = FiniteMetricSpace(self.labels, tuple(map(tuple, floats.tolist())), False, tol)
+                object.__setattr__(space, "grid", (floats, 1))
+                return space
         rows = tuple(tuple(coerce(v, exact) for v in row) for row in self.dist)
         return FiniteMetricSpace(self.labels, rows, exact, tol)
 
@@ -329,8 +342,18 @@ def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:
     if n < 2:
         return coerce(0, space.exact)
     (v,), d, _ = _on_lattice([values], space)
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     return _ratio_extreme(np.abs(v[i] - v[j]), d[i, j], largest=True)
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, the pairs i < j, as read-only arrays
+    built once per ``n``."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
 
 
 def _cone_envelope(
@@ -343,9 +366,15 @@ def _cone_envelope(
     fixes the sign of a float zero.
     """
     (v,), d, scale = _on_lattice([values], space)
-    cones = v[:, None] - d[list(anchors)]
-    top = cones[cones.argmax(axis=0), np.arange(space.n)].tolist()
+    top = _cone_top(v, d[list(anchors)]).tolist()
     return [Fraction(x, scale) for x in top] if space.exact else top
+
+
+def _cone_top(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """max over k of (v[k] - d[k, z]) for each column z of ``d``, the
+    first k on ties."""
+    cones = v[:, None] - d
+    return cones[cones.argmax(axis=0), np.arange(d.shape[1])]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import logging
 import os
@@ -10,6 +12,8 @@ import pytest
 from lipfree import cli
 from lipfree import io as lfio
 from lipfree.errors import InternalError
+from lipfree.instances import random_space
+from lipfree.numerics import exact_repr
 
 LINE_DOC = {"labels": ["0", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
 
@@ -237,3 +241,65 @@ def test_selftest_quick_deterministic():
     assert a.returncode == 0, a.stdout + a.stderr
     assert a.stdout == b.stdout
     assert "12/12 criteria passed" in a.stdout
+
+
+@pytest.mark.parametrize("where", ["space", "functional", "pairs"])
+def test_integer_past_digit_limit_is_parse_error(capsys, tmp_path, line_files, where):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer literal longer than 4300 digits.
+    space, phi = line_files
+    huge = "9" * 5000
+    bad = tmp_path / "huge.json"
+    if where == "space":
+        bad.write_text('{"labels": ["0", "a"], "dist": [[0, %s], [%s, 0]]}' % (huge, huge))
+        argv = ["embed", "--input", str(bad)]
+    elif where == "functional":
+        bad.write_text('{"coeffs": {"a": %s}}' % huge)
+        argv = ["norm", "--input", str(space), "--functional", str(bad)]
+    else:
+        bad.write_text('{"pairs": [["a", "b"]], "weight": %s}' % huge)
+        argv = ["check-monotone", "--input", str(space), "--pairs", str(bad)]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
+
+
+def _sha256(*paths):
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(Path(path).read_bytes())
+    return h.hexdigest()
+
+
+#: Output digests pinned when the float-mode reader, writer and embedding
+#: search still worked cell by cell; the per-array paths must write the
+#: same bytes.
+_PINNED = {
+    "exotic.json": "49f8ac4dcffdcff576f19e9e8084b95ee5544c1051d0fc59aeffe6b809828ec3",
+    "exotic.csv": "2eac67ec9d89b10aef67c92f02b13187abf640cd838ced9e90cd11c1f90c777b",
+    "e48.json": "95b7133e0be6865eb9b2b62732368140e43648166c5741acbe5de8dbea10f7b7",
+    "f66.csv": "aa97756a2fda61c8250de0fba450f657b43ce7c46761a0fb2d80514c71240217",
+}
+
+
+def test_float_outputs_match_pinned_bytes(tmp_path):
+    got = {}
+    for name in ("exotic.json", "exotic.csv"):
+        out = tmp_path / name
+        assert cli.main(["gen-exotic", "--N", "256", "--out", str(out)]) == 0
+        got[name] = _sha256(out, f"{out}.gamma.json")
+    # An exact space (the search converts it to floats) and a float CSV one.
+    exact = random_space(48, 5)
+    (tmp_path / "e48.json").write_text(json.dumps(
+        {"labels": list(exact.labels), "dist": [[exact_repr(v) for v in row] for row in exact.dist]}
+    ))
+    floats = random_space(66, 6)
+    with open(tmp_path / "f66.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(floats.labels)
+        writer.writerows([[repr(float(v)) for v in row] for row in floats.dist])
+    for name in ("e48.json", "f66.csv"):
+        out = tmp_path / f"{name}.out"
+        argv = ["embed", "--input", str(tmp_path / name), "--dim", "3", "--iters", "100", "--out", str(out)]
+        assert cli.main(argv) == 0
+        got[name] = _sha256(out)
+    assert got == _PINNED

@@ -175,7 +175,10 @@ def _float_spaces():
 def test_float_rounding_per_array_matches_per_cell():
     for sp in _float_spaces():
         doc = lfio.space_doc(sp)
-        assert repr(doc["dist"]) == repr([[round12(v) for v in row] for row in sp.dist])
+        per_cell = [[round12(v) for v in row] for row in sp.dist]
+        assert repr(doc["dist"]) == repr(per_cell)
+        want = json.dumps({"labels": list(sp.labels), "dist": per_cell}, indent=2, allow_nan=False)
+        assert lfio.dumps(doc) == want + "\n"
         buf = stdio.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(sp.labels)
@@ -247,6 +250,33 @@ def test_per_array_load_matches_per_cell_reference(tmp_path, n, exact):
             got = _load_outcome(lambda: lfio.load_space(str(path), exact=exact))
             want = _load_outcome(lambda: _reference_load(str(path), labels, cells, exact))
             assert got == want, (cell, path.suffix)
+
+
+@pytest.mark.parametrize("n", [66, 128])
+@pytest.mark.parametrize("bad", [None, "nan", "1e400", "1_0", " 3 "])
+@pytest.mark.parametrize("spread", ["repeated", "distinct"])
+def test_float_load_of_repeated_tokens_matches_per_cell_reference(tmp_path, n, bad, spread):
+    # Off-diagonal distances in [1, 2] always form a metric.  "repeated"
+    # draws them from a few spellings, most of them of equal values, so
+    # the reader parses each distinct token once; "distinct" gives the
+    # first row its own token per cell, so the reader parses every cell.
+    # A bad token, when given, sits in eight symmetric cells.
+    rng = random.Random(n)
+    spellings = ["1", "1.0", "1e0", "+1.5", "1.50", "2", "1.25", "0.125e1"]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            t = rng.choice(spellings) if spread == "repeated" or i else f"{1 + j / n!r}"
+            rows[i][j] = rows[j][i] = t
+    if bad is not None:
+        for i, j in ((0, 1), (2, 5), (n - 3, n - 1), (4, n // 2)):
+            rows[i][j] = rows[j][i] = bad
+    labels = [f"p{i}" for i in range(n)]
+    for path, cells in _write_space(tmp_path, "r", labels, rows):
+        for exact in (None, False):
+            got = _load_outcome(lambda: lfio.load_space(str(path), exact=exact))
+            want = _load_outcome(lambda: _reference_load(str(path), labels, cells, exact))
+            assert got == want, path.suffix
 
 
 def _write_space(tmp_path, name, labels, rows):

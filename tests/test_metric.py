@@ -231,6 +231,30 @@ def test_ratio_extreme_settles_float_inversions():
     assert _ratio_extreme(num, den, largest=False) == small
 
 
+@pytest.mark.parametrize(
+    "mult, dtype, fast",
+    [
+        (1, "<i8", True),
+        (F(7, 5), "<i8", True),
+        (F(3, 10**14), "<i8", True),
+        (2**55, "<i8", False),  # entries past 2**53
+        (F(1, 2**55), "<i8", False),  # scale past 2**53
+        (F(10**20 + 39, 10**19 + 7), "|O", False),
+    ],
+)
+def test_with_mode_to_float_matches_per_cell(mult, dtype, fast):
+    for seed in range(8):
+        sp = validate_metric([[v * mult for v in row] for row in random_space(2 + seed, seed).dist])
+        a, scale = sp.grid
+        assert a.dtype.str == dtype
+        assert (scale < 2**53 and abs(a).max() < 2**53) == fast
+        fsp = sp.with_mode(exact=False)
+        want = tuple(tuple(float(v) for v in row) for row in sp.dist)
+        assert repr(fsp.dist) == repr(want) and not fsp.exact
+        grid, one = fsp.grid
+        assert one == 1 and grid.tobytes() == np.array(want).tobytes() and not grid.flags.writeable
+
+
 def test_worst_pair_separation_matches_bruteforce():
     for sp, vectors in _kernel_cases():
         for k in range(1, len(vectors) + 1):
