@@ -286,7 +286,7 @@ def space_csv(space: FiniteMetricSpace) -> str:
 
 def _distinct12(space: FiniteMetricSpace) -> Tuple[List[str], np.ndarray]:
     """The distinct distances at 12 significant digits, as ``round12``
-    writes them, and the index of each cell's among them.
+    writes them, and for each cell the index of its distance among them.
 
     Distinct means a distinct bit pattern, so ``-0.0`` keeps its sign;
     all of them are formatted by one ``%``.
