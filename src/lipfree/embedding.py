@@ -153,7 +153,7 @@ def _project_unit_ball(
     i, j, dij = pairs
 
     def lip(v):
-        return float((np.abs(v[i] - v[j]) / dij).max(initial=0.0))
+        return _ratio_extreme(np.abs(v[i] - v[j]), dij, largest=True) if dij.size else 0.0
 
     for _ in range(rounds):
         value = lip(v)
@@ -221,7 +221,7 @@ def best_embedding_search(
     per_restart = max(1, iterations // len(starts))
 
     def objective(fam: np.ndarray) -> float:
-        return float((_pair_spread(fam, i, j) / dij).min()) if m > 1 else 1.0
+        return _ratio_extreme(_pair_spread(fam, i, j), dij, largest=False) if m > 1 else 1.0
 
     def climb(fam: List[np.ndarray]) -> None:
         nonlocal best_rows, best_val

@@ -14,7 +14,7 @@ decimal.  A distance matrix is read per array where it can be:
   pattern match over the joined cells and one parse per distinct cell;
 - a JSON matrix of plain numbers skips the per-cell parse;
 - in float mode a CSV file is read with one ``float`` per distinct cell,
-  one finiteness check per distinct value and one gather into the array
+  one gather into the array and one finiteness check over it
   (``_csv_float_grid``).
 
 Any other matrix, one with a zero denominator, and a CSV file with a
@@ -131,27 +131,19 @@ def _csv_float_grid(cells: List[List[str]]) -> Tuple[np.ndarray, int] | None:
     """A square matrix of CSV cells as finite float64, scale 1, or None
     when a cell is not that (``_parse_number`` then reads it or reports it).
 
-    A matrix whose first row repeats cells, such as one with few distinct
-    distances, reads each distinct cell once and gathers the rest from
-    that table.  One whose first row is mostly distinct reads every cell:
-    a table as large as the matrix costs more than it saves.
+    Each distinct cell is read once, and the matrix is gathered from that
+    table in one step.
     """
     if not _square(cells):
         return None
     n = len(cells)
     chain = itertools.chain.from_iterable
     try:
-        if 2 * len(set(cells[0])) > n:
-            floats = read = list(map(float, chain(cells)))
-        else:
-            value = {t: float(t) for t in dict.fromkeys(chain(cells))}
-            read = value.values()
-            floats = map(value.__getitem__, chain(cells))
+        value = {t: float(t) for t in dict.fromkeys(chain(cells))}
     except ValueError:
         return None
-    if not all(map(math.isfinite, read)):
-        return None
-    return np.fromiter(floats, dtype=float, count=n * n).reshape(n, n), 1
+    a = np.fromiter(map(value.__getitem__, chain(cells)), dtype=float, count=n * n)
+    return (a.reshape(n, n), 1) if np.isfinite(a).all() else None
 
 
 def _lattice_grid(rows) -> Tuple[np.ndarray, int] | None:
@@ -387,24 +379,12 @@ def _encode(o: Any, newline: str) -> str:
     raise _Unsupported
 
 
-#: How many leading cells ``_float_texts`` looks at to choose its path.
-_HEAD = 32
-
-
 def _float_texts(o) -> Iterator[str]:
-    """``float.__repr__`` of each float in ``o``.
-
-    ``space_doc`` puts one float object per distinct distance in every
-    cell that holds it, so a list whose first cells share an object is
-    formatted once per distinct object (``o`` holds them all, so no two
-    share an id).  A list whose first cells are all distinct objects is
-    formatted cell by cell, which costs less when few of them repeat.
+    """``float.__repr__`` of each float in ``o``, formatted once per
+    distinct object: ``space_doc`` puts one float object per distinct
+    distance in every cell that holds it.  ``o`` holds its floats, so no
+    two of them share an id.
     """
-    head = o[:_HEAD]
-    if len(set(map(id, head))) == len(head):
-        if not all(map(math.isfinite, o)):
-            raise _Unsupported
-        return map(float.__repr__, o)
     ids = list(map(id, o))
     first = dict(zip(ids, o))
     if not all(map(math.isfinite, first.values())):

@@ -346,10 +346,13 @@ def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:
     return _ratio_extreme(np.abs(v[i] - v[j]), d[i, j], largest=True)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, the pairs i < j, as read-only arrays
-    built once per ``n``."""
+    """``np.triu_indices(n, 1)``, the pairs i < j, as read-only arrays.
+
+    Only the last ``n`` is kept, so the cache holds at most n(n-1) int64
+    indices, the size of one n x n distance matrix.
+    """
     pairs = np.triu_indices(n, 1)
     for a in pairs:
         a.setflags(write=False)

@@ -259,8 +259,8 @@ def test_float_load_of_repeated_tokens_matches_per_cell_reference(tmp_path, n, b
     # Off-diagonal distances in [1, 2] always form a metric.  "repeated"
     # draws them from a few spellings, most of them of equal values, so
     # the reader parses each distinct token once; "distinct" gives the
-    # first row its own token per cell, so the reader parses every cell.
-    # A bad token, when given, sits in eight symmetric cells.
+    # first row its own token per cell.  A bad token, when given, sits in
+    # eight symmetric cells.
     rng = random.Random(n)
     spellings = ["1", "1.0", "1e0", "+1.5", "1.50", "2", "1.25", "0.125e1"]
     rows = [[0] * n for _ in range(n)]
