@@ -27,6 +27,7 @@ from .metric import (
     FiniteMetricSpace,
     LipschitzPotential,
     _cone_top,
+    _grid_rows,
     _on_lattice,
     _ratio_extreme,
     _upper_pairs,
@@ -125,14 +126,14 @@ def frechet_embedding(space: FiniteMetricSpace) -> EmbeddingReport:
     """One coordinate per point: f_j(x) = d(x, p_j) - d(0, p_j).
 
     Coordinate j attains |f_j(x) - f_j(y)| = d(x, y) at j = y, so the map
-    is an isometry into l_inf^n and the objective is exactly 1.
+    is an isometry into l_inf^n and the objective is exactly 1.  The rows
+    are differences of ``space.grid`` columns; exact mode turns each
+    distinct lattice difference into one Fraction.
     """
     if space.n < 2:
         raise ValueError("need at least two points to embed")
-    rows = [
-        [space.d(x, j) - space.d(0, j) for x in space.points] for j in space.points
-    ]
-    return _report_from_values(rows, space)
+    a, scale = space.grid
+    return _report_from_values(_grid_rows((a - a[0]).T, scale, space.exact), space)
 
 
 def _envelope_midpoint(v: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -73,6 +73,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, so it would pass as one
+        raise ParseError(f"{path} is not text in the expected encoding: {exc}") from exc
 
 
 def _read_json(path: str) -> Any:

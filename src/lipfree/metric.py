@@ -221,17 +221,22 @@ def validate_grid(
     if witness is not None:
         raise TriangleViolation(*witness)
 
-    if exact:
-        values, where = np.unique(a.ravel(), return_inverse=True)
-        fractions = np.empty(len(values), dtype=object)
-        fractions[:] = [Fraction(v, scale) for v in values.tolist()]
-        rows = fractions[where].reshape(a.shape).tolist()
-    else:
-        rows = a.tolist()
-    space = FiniteMetricSpace(labels, tuple(map(tuple, rows)), exact, tol)
+    space = FiniteMetricSpace(labels, tuple(map(tuple, _grid_rows(a, scale, exact))), exact, tol)
     a.setflags(write=False)
     object.__setattr__(space, "grid", (a, scale))
     return space
+
+
+def _grid_rows(a: np.ndarray, scale: int, exact: bool) -> List[List[Number]]:
+    """``a / scale`` as nested lists: exact mode holds one
+    ``Fraction(v, scale)`` per distinct integer ``v``, float mode the
+    entries of ``a`` (scale 1) as Python floats."""
+    if not exact:
+        return a.tolist()
+    values, where = np.unique(a.ravel(), return_inverse=True)
+    fractions = np.empty(len(values), dtype=object)
+    fractions[:] = [Fraction(v, scale) for v in values.tolist()]
+    return fractions[where].reshape(a.shape).tolist()
 
 
 def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] | None:

@@ -5,7 +5,9 @@ negative parts of a functional (the base point absorbs any mass imbalance,
 since the evaluation there is the zero functional), together with:
 
 * an optimal coupling, found by successive shortest paths with node
-  potentials so reduced costs stay nonnegative;
+  potentials so reduced costs stay nonnegative (``_solve_min_cost``: each
+  path comes from a heap-ordered Dijkstra that stops at the sink it
+  augments to, on the same numbers in both modes);
 * the induced pair-measure representation (d times the coupling), whose
   total variation equals the norm;
 * a dual 1-Lipschitz potential obtained from the final node potentials by
@@ -20,8 +22,9 @@ sides of the duality independently of the solver's internals.
 from __future__ import annotations
 
 import logging
+from heapq import heappop, heappush
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .errors import Error, InternalError
 from .metric import (
@@ -186,6 +189,25 @@ def _solve_min_cost(
     Sources are drained in increasing point order and ties among nearest
     sinks break toward the lowest index, so outputs are deterministic.
     Returns the flow and the final node potentials.
+
+    Each augmentation runs Dijkstra from the first source with supply left
+    over the reduced costs ``cost + pot[u] - pot[v]``.  Every arc costs
+    d(source, sink): ``space.dist[s][t]`` forward, and ``-space.dist[s][t]``
+    on the backward arc t -> s, which exists only while s carries flow into
+    t.  ``carriers[t]`` keeps those sources, so a settled sink relaxes only
+    its own backward arcs.
+
+    * Order: a heap of ``(dist, point)`` entries settles points by the
+      least unsettled ``(dist[v], v)``; an entry whose point is already
+      settled is stale and skipped.  Arcs into settled points are not
+      relaxed, since nonnegative reduced costs cannot lower their distance.
+    * Stop: ``cap`` is the distance of the least ``(dist, t)`` settled
+      sink with demand left.  The search stops once the next entry lies
+      above the cap.  Every point at or below the cap is settled by then,
+      and every other point would settle above it, so a search run to
+      exhaustion picks the same sink and path.  It also makes the same
+      potential update: settled points add their distance, all others the
+      cap.
     """
     zero = coerce(0, space.exact)
     src = sorted(sources)
@@ -195,6 +217,9 @@ def _solve_min_cost(
     flow: Dict[Pair, Number] = {}
     pot: Dict[int, Number] = {v: zero for v in src + snk}
     is_source = set(src)
+    carriers: Dict[int, Set[int]] = {t: set() for t in snk}
+    rows = space.dist
+    clamp = not space.exact  # float round-off guard; exact mode never needs it
     if space.exact:
         eps_active = 0
     else:
@@ -203,51 +228,45 @@ def _solve_min_cost(
         scale = max(list(sources.values()) + list(sinks.values()))
         eps_active = 1e-12 * (1.0 + float(scale))
 
-    def reduced(cost, u, v):
-        rc = cost + pot[u] - pot[v]
-        if not space.exact and rc < 0:
-            rc = 0.0  # float round-off guard; exact mode never needs it
-        return rc
-
     while True:
         s0 = next((s for s in src if remaining_sup[s] > eps_active), None)
         if s0 is None:
             break
 
-        # Dijkstra over reduced costs from s0.
+        # Dijkstra over reduced costs from s0, up to the cap.
         dist: Dict[int, Number] = {s0: zero}
         prev: Dict[int, int] = {}
         done = set()
-        while True:
-            u = min(
-                (v for v in dist if v not in done),
-                key=lambda v: (dist[v], v),
-                default=None,
-            )
-            if u is None:
+        heap = [(zero, s0)]
+        best = None  # least (dist, t) over settled sinks with demand left
+        while heap:
+            du, u = heappop(heap)
+            if best is not None and du > best[0]:
                 break
+            if u in done:
+                continue
             done.add(u)
+            pu = pot[u]
             if u in is_source:
-                for t in snk:
-                    nd = dist[u] + reduced(space.d(u, t), u, t)
-                    if t not in dist or nd < dist[t]:
-                        dist[t] = nd
-                        prev[t] = u
+                row = rows[u]
+                arcs = [(t, row[t]) for t in snk if t not in done]
             else:
-                for s in src:
-                    if flow.get((s, u), zero) > 0:
-                        nd = dist[u] + reduced(-space.d(s, u), u, s)
-                        if s not in dist or nd < dist[s]:
-                            dist[s] = nd
-                            prev[s] = u
+                if remaining_dem[u] > eps_active and (best is None or (du, u) < best):
+                    best = (du, u)
+                arcs = [(s, -rows[s][u]) for s in carriers[u] if s not in done]
+            for v, cost in arcs:
+                rc = cost + pu - pot[v]
+                if clamp and rc < 0:
+                    rc = 0.0
+                nd = du + rc
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = u
+                    heappush(heap, (nd, v))
 
-        t0 = min(
-            (t for t in snk if remaining_dem[t] > eps_active and t in dist),
-            key=lambda t: (dist[t], t),
-            default=None,
-        )
-        if t0 is None:
+        if best is None:
             raise InternalError("transport network disconnected; cannot happen on a complete bipartite graph")
+        cap, t0 = best
 
         # Walk the path back and find the bottleneck.
         path: List[Pair] = []
@@ -264,17 +283,17 @@ def _solve_min_cost(
         for u, v in path:
             if u in is_source:
                 flow[(u, v)] = flow.get((u, v), zero) + amount
+                carriers[v].add(u)
             else:
                 flow[(v, u)] = flow[(v, u)] - amount
                 if flow[(v, u)] == 0:
                     del flow[(v, u)]
+                    carriers[u].discard(v)
         remaining_sup[s0] -= amount
         remaining_dem[t0] -= amount
 
-        cap = dist[t0]
         for v in pot:
-            dv = dist.get(v)
-            pot[v] = pot[v] + (cap if dv is None or dv > cap else dv)
+            pot[v] = pot[v] + (dist[v] if v in done else cap)
 
     return flow, pot
 

@@ -263,6 +263,22 @@ def test_integer_past_digit_limit_is_parse_error(capsys, tmp_path, line_files, w
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("where", ["space", "functional", "pairs"])
+def test_non_utf8_file_is_parse_error(capsys, tmp_path, line_files, where):
+    # A file that does not decode raises UnicodeDecodeError, a ValueError.
+    space, phi = line_files
+    bad = tmp_path / "bom.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps({"coeffs": {"a": 1}}).encode("utf-16-le"))
+    if where == "space":
+        argv = ["embed", "--input", str(bad)]
+    elif where == "functional":
+        argv = ["norm", "--input", str(space), "--functional", str(bad)]
+    else:
+        argv = ["check-monotone", "--input", str(space), "--pairs", str(bad)]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
+
+
 def _sha256(*paths):
     h = hashlib.sha256()
     for path in paths:
@@ -271,13 +287,20 @@ def _sha256(*paths):
 
 
 #: Output digests pinned when the float-mode reader, writer and embedding
-#: search still worked cell by cell; the per-array paths must write the
-#: same bytes.
+#: search still worked cell by cell, and (the last five) when the transport
+#: solver still ran a full linear-scan Dijkstra per augmentation and the
+#: exact per-point embedding subtracted Fractions cell by cell; the faster
+#: paths must write the same bytes.
 _PINNED = {
     "exotic.json": "49f8ac4dcffdcff576f19e9e8084b95ee5544c1051d0fc59aeffe6b809828ec3",
     "exotic.csv": "2eac67ec9d89b10aef67c92f02b13187abf640cd838ced9e90cd11c1f90c777b",
     "e48.json": "95b7133e0be6865eb9b2b62732368140e43648166c5741acbe5de8dbea10f7b7",
     "f66.csv": "aa97756a2fda61c8250de0fba450f657b43ce7c46761a0fb2d80514c71240217",
+    "embed e48.json": "db7aa19f9f18d2e2bfbd59de7b3e67cba19a716fce0c809a4e3ef7a141dc86bd",
+    "coupling f66.csv": "29cde1b799abba4ee94ef1cf15483272459b66dd1c6f375422aa228c1a61e392",
+    "decompose f66.csv": "cbec9a9ace3eadd0b71d8d7866c8399a29bd7c36cac73151965126d08dfe6abb",
+    "coupling e32.json": "70436c70784f69f1db51a0c0aa7dd6a7f8f9c758a8c73ea53e55417a49cb4b21",
+    "potential e32.json": "a3da3b1d00362ed761f7d2a9e3133bdf8b3a2eb1e48385bebda7c9d6f99e3b10",
 }
 
 
@@ -302,4 +325,26 @@ def test_float_outputs_match_pinned_bytes(tmp_path):
         argv = ["embed", "--input", str(tmp_path / name), "--dim", "3", "--iters", "100", "--out", str(out)]
         assert cli.main(argv) == 0
         got[name] = _sha256(out)
+    out = tmp_path / "e48.frechet"
+    assert cli.main(["embed", "--input", str(tmp_path / "e48.json"), "--out", str(out)]) == 0
+    got["embed e48.json"] = _sha256(out)
+    # Transport outputs: a 40-point functional on the float CSV space, and a
+    # 12-point one on an exact 32-point JSON space.
+    exact32 = random_space(32, 7)
+    (tmp_path / "e32.json").write_text(json.dumps(
+        {"labels": list(exact32.labels), "dist": [[exact_repr(v) for v in row] for row in exact32.dist]}
+    ))
+    for name, space, support, commands in (
+        ("f66.csv", floats, 40, ("coupling", "decompose")),
+        ("e32.json", exact32, 12, ("coupling", "potential")),
+    ):
+        phi = tmp_path / f"{name}.phi.json"
+        phi.write_text(json.dumps({"coeffs": {
+            space.labels[i]: f"{(-1) ** i * (i % 5 + 1)}/{i % 3 + 1}" for i in range(1, support + 1)
+        }}))
+        for command in commands:
+            out = tmp_path / f"{name}.{command}"
+            argv = [command, "--input", str(tmp_path / name), "--functional", str(phi), "--out", str(out)]
+            assert cli.main(argv) == 0
+            got[f"{command} {name}"] = _sha256(out)
     assert got == _PINNED

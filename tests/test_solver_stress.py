@@ -6,6 +6,7 @@ against the independent vertex-enumeration oracle and check that the
 emitted certificates stay sound under heavy degeneracy.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -22,7 +23,7 @@ from lipfree import (
     optimal_coupling,
     validate_metric,
 )
-from lipfree.instances import line_space, random_functional
+from lipfree.instances import line_space, random_functional, random_space
 from lipfree.oracles import transport_cost_by_vertex_enumeration
 
 
@@ -118,3 +119,41 @@ def test_exhaustive_tiny_functionals_vs_oracle():
     for c1, c2 in itertools.product(values, repeat=2):
         phi = Functional({1: c1, 3: c2}, sp)
         assert free_norm(phi, sp) == transport_cost_by_vertex_enumeration(phi, sp)
+
+
+#: SHA-256 over the reprs below, taken when the solver still ran a full
+#: linear-scan Dijkstra per augmentation and tested every source for flow.
+_PINNED_SOLVES = "498e7dca747170225a417aed7d27491763e4e8e77c2d4f760d1e3710b6b7ca65"
+
+
+def asymmetric_float_space(n, seed):
+    """A float space whose d(i, j) and d(j, i) differ by up to ~1e-10,
+    within the validation tolerance: the solver must cost a backward arc
+    as d(source, sink), like the forward arc it undoes."""
+    rng = random.Random(seed)
+    d = [list(row) for row in random_space(n, seed).with_mode(exact=False).dist]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] *= 1 + rng.choice([-1, 1]) * 1e-11
+    return validate_metric(d, exact=False)
+
+
+def test_solver_outputs_match_pinned_reprs():
+    h = hashlib.sha256()
+
+    def record(phi, space):
+        res = optimal_coupling(phi, space)
+        h.update(repr((res.value, res.coupling, res.representation, res.potential.values)).encode())
+
+    # Seeds 39, 413, ... draw spaces where Dijkstra settles a sink with demand
+    # left, then one of lower index at the same distance, which must win.
+    for seed in (*range(48), 413, 878, 903, 1173, 1183, 1260):
+        sp = tie_heavy_space(5 + seed % 8, seed + 500)
+        phi = random_functional(sp, seed + 600, max_support=sp.n - 1)
+        for s in (sp, sp.with_mode(exact=False)):
+            record(Functional(phi.coeffs, s), s)
+    for seed in range(4):
+        sp = asymmetric_float_space(14, seed + 700)
+        rng = random.Random(seed)
+        record(Functional({i: rng.uniform(-3, 3) for i in range(1, sp.n)}, sp), sp)
+    assert h.hexdigest() == _PINNED_SOLVES
