@@ -22,8 +22,8 @@ sides of the duality independently of the solver's internals.
 from __future__ import annotations
 
 import logging
-from heapq import heappop, heappush
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .errors import Error, InternalError
