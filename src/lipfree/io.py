@@ -6,21 +6,22 @@ Functional: {"coeffs": {"label": number, ...}}.
 Pair set: {"pairs": [["x", "y"], ...]}.
 
 Numbers in input files are JSON numbers or strings: "p/q", integer or
-decimal.  A distance matrix is read per array where it can be:
+decimal.  A distance matrix is read in one pass (``load_space``):
 
-- in exact mode, a square matrix whose cells are all JSON integers or
-  ASCII ``[+-]digits[/digits]`` strings (JSON or CSV) goes straight onto
-  the integer lattice that ``FiniteMetricSpace.grid`` holds, with one
-  pattern match over the joined cells and one parse per distinct cell;
-- a JSON matrix of plain numbers skips the per-cell parse;
-- in float mode a CSV file is read with one ``float`` per distinct cell,
-  one gather into the array and one finiteness check over it
-  (``_csv_float_grid``).
+- its cells go into a table of distinct cells, first occurrences first,
+  keyed by value, or by type and value when the cells' types mix (the
+  int 0 equals ``False`` and the int ``2**70`` the float ``2.0**70``);
+- ``_parse_number`` reads each distinct cell once, so the first cell it
+  rejects is the row-major first bad cell, and a ``SchemaMismatch``
+  names it as a cell-by-cell parse would (a zero denominator included);
+- exact mode puts the distinct values on the integer lattice that
+  ``FiniteMetricSpace.grid`` holds, reading floats as ``coerce`` does;
+  float mode makes one float64 of each, an int too large for a float
+  becoming ±inf (a ``NonFiniteDistance``);
+- one fancy index gathers the matrix, and ``validate_grid`` checks it.
 
-Any other matrix, one with a zero denominator, and a CSV file with a
-cell ``float`` rejects or reads as non-finite, goes through the per-cell
-parse, so what is accepted and every error message stay the same on
-every path.  A zero denominator is a ``SchemaMismatch``.
+In float mode a JSON matrix of plain numbers has nothing to parse and is
+converted in one step.
 
 Emitted numbers are fixed at 12 significant digits, except the distances
 of an exact space, which are written losslessly (integers as numbers,
@@ -38,7 +39,6 @@ import io as _stdio
 import itertools
 import json
 import math
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Tuple
@@ -50,13 +50,14 @@ from .metric import (
     FiniteMetricSpace,
     Functional,
     LipschitzPotential,
-    _int_dtype,
+    _float_array,
+    _lattice,
     matrix_labels,
     validate_grid,
-    validate_metric,
+    validate_metric,  # noqa: F401 (benchmarks/tracing.py wraps lipfree.io.validate_metric)
 )
 from .monotonicity import CycleCertificate, PairSet
-from .numerics import EXACT_SIZE_LIMIT, Number, exact_repr, round12
+from .numerics import EXACT_SIZE_LIMIT, Number, coerce, exact_repr, round12
 from .transport import PairMeasure, TransportResult
 
 
@@ -87,128 +88,63 @@ def _read_json(path: str) -> Any:
 
 def load_space(path: str, *, exact: bool | None = None, tol: float = 1e-9) -> FiniteMetricSpace:
     """Load a metric space from JSON or CSV (by extension) and validate it."""
-    if path.endswith(".csv"):
+    is_csv = path.endswith(".csv")
+    if is_csv:
         rows = list(csv.reader(_stdio.StringIO(_read_text(path))))
         if not rows:
             raise SchemaMismatch(f"{path}: empty CSV")
         labels, dist = rows[0], rows[1:]
-        if exact is None:
-            exact = len(dist) <= EXACT_SIZE_LIMIT
-        grid = _lattice_grid(dist) if exact else _csv_float_grid(dist)
-        if grid is None:
-            dist = _parse_rows(path, dist)
-        if len(dist) != len(labels):
-            raise SchemaMismatch(f"{path}: {len(labels)} labels but {len(dist)} rows")
     else:
         doc = _read_json(path)
         if not isinstance(doc, dict) or "labels" not in doc or "dist" not in doc:
             raise SchemaMismatch(f'{path}: expected {{"labels": [...], "dist": [[...]]}}')
-        labels = doc["labels"]
-        dist = doc["dist"]
+        labels, dist = doc["labels"], doc["dist"]
         if not isinstance(labels, list) or not isinstance(dist, list):
             raise SchemaMismatch(f"{path}: labels and dist must be arrays")
-        if exact is None:
-            exact = len(dist) <= EXACT_SIZE_LIMIT
-        grid = _lattice_grid(dist) if exact else None
-        if grid is None:
-            try:
-                plain = set(map(type, itertools.chain.from_iterable(dist))) <= {int, float}
-            except TypeError:  # a row that is not an array: the per-cell path reports it
-                plain = False
-            if not plain:
-                dist = _parse_rows(path, dist)
-            elif not exact and _square(dist):
-                grid = np.array(dist, dtype=float), 1
-    if grid is None:
-        return validate_metric(dist, labels, exact=exact, tol=tol)
-    return validate_grid(*grid, matrix_labels(dist, labels), exact=exact, tol=tol)
-
-
-def _square(rows) -> bool:
-    n = len(rows)
-    return n > 0 and all(type(row) is list and len(row) == n for row in rows)
-
-
-def _csv_float_grid(cells: List[List[str]]) -> Tuple[np.ndarray, int] | None:
-    """A square matrix of CSV cells as finite float64, scale 1, or None
-    when a cell is not that (``_parse_number`` then reads it or reports it).
-
-    Each distinct cell is read once, and the matrix is gathered from that
-    table in one step.
-    """
-    if not _square(cells):
-        return None
-    n = len(cells)
-    chain = itertools.chain.from_iterable
+    if exact is None:
+        exact = len(dist) <= EXACT_SIZE_LIMIT
     try:
-        value = {t: float(t) for t in dict.fromkeys(chain(cells))}
-    except ValueError:
-        return None
-    a = np.fromiter(map(value.__getitem__, chain(cells)), dtype=float, count=n * n)
-    return (a.reshape(n, n), 1) if np.isfinite(a).all() else None
+        types = {str} if is_csv else set(map(type, itertools.chain.from_iterable(dist)))
+        plain = not (is_csv or exact) and types <= {int, float}
+        if not plain:
+            keys = itertools.chain.from_iterable(dist)
+            mixed = len(types) > 1
+            if mixed:  # by type too, since False == 0 and 2**70 == 2.0**70
+                keys = zip(map(type, itertools.chain.from_iterable(dist)), keys)
+            index = {}  # each distinct key, at its position in order of first occurrence
+            where = [index.setdefault(k, len(index)) for k in keys]
+    except TypeError:  # a row that is not an array, or a cell that cannot be hashed
+        _parse_cells(path, itertools.chain.from_iterable(dist))  # raises for the first of them
+        raise
+    if plain:  # JSON numbers in float mode: nothing to parse
+        labels = matrix_labels(dist, labels)
+        return validate_grid(_float_array(dist), 1, labels, exact=False, tol=tol)
+    values = _parse_cells(path, [v for _, v in index] if mixed else index)
+    if is_csv and len(dist) != len(labels):
+        raise SchemaMismatch(f"{path}: {len(labels)} labels but {len(dist)} rows")
+    labels = matrix_labels(dist, labels)
+    a, scale = _lattice([[coerce(v, True) for v in values]]) if exact else (_float_array([values]), 1)
+    return validate_grid(a[0][where].reshape(len(labels), -1), scale, labels, exact=exact, tol=tol)
 
 
-def _lattice_grid(rows) -> Tuple[np.ndarray, int] | None:
-    """A square matrix of ints and ASCII ``[+-]digits[/digits]`` strings
-    on its integer lattice, as ``metric._lattice`` builds it from the
-    parsed rationals: the lcm of the reduced denominators, and int64
-    unless a sum of two entries could overflow.  None for any other
-    matrix, and for a zero denominator or a string past ``int``'s digit
-    limit, so the per-cell parse reads it or reports it.
-
-    Every other JSON value prints with some other character, and a cell
-    holding a comma adds a token, so one character-class match over the
-    joined cells leaves only signs, digits and slashes in each cell; each
-    distinct cell is then split at its first slash, and ``int`` rejects
-    any other arrangement of them.
-    """
-    if not _square(rows):
-        return None
-    text = ",".join(map(str, itertools.chain.from_iterable(rows)))
-    tokens = text.split(",")
-    if len(tokens) != len(rows) ** 2 or not re.fullmatch("[0-9+/,-]*", text):
-        return None
-    reduced = {}
+def _parse_cells(path: str, cells) -> List[Number]:
+    """``_parse_number`` of each cell, in order; the first failure, or a
+    row that is not an array in a chained iterable of rows, raises a
+    ``SchemaMismatch``."""
     try:
-        for token in dict.fromkeys(tokens):
-            num, slash, den = token.partition("/")
-            if slash and not den.isdigit():
-                return None
-            p, q = int(num), int(den or 1)
-            if q == 0:
-                return None
-            g = math.gcd(p, q)
-            reduced[token] = p // g, q // g
-    except ValueError:
-        return None
-    scale = math.lcm(*{q for _, q in reduced.values()})
-    value = {token: p * (scale // q) for token, (p, q) in reduced.items()}
-    dtype = _int_dtype(max(map(abs, value.values())))
-    a = np.array([value[t] for t in tokens], dtype=dtype)
-    return a.reshape(len(rows), len(rows)), scale
-
-
-def _parse_rows(path: str, rows) -> List[List[Number]]:
-    try:
-        return [[_parse_number(v) for v in row] for row in rows]
+        return list(map(_parse_number, cells))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaMismatch(f"{path}: {exc}") from exc
 
 
 def _parse_number(v) -> Number:
-    if isinstance(v, bool):
-        raise ValueError(f"not a number: {v!r}")
-    if isinstance(v, (int, float)):
-        return v
     if isinstance(v, str):
         s = v.strip()
         if "/" in s:
-            num, _, den = s.partition("/")
-            digits = num[1:] if num[:1] in ("+", "-") else num
-            if s.isascii() and digits.isdigit() and den.isdigit():
-                return Fraction(int(num), int(den))
             return Fraction(s)
         return float(s) if ("." in s or "e" in s or "E" in s) else int(s)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return v
     raise ValueError(f"not a number: {v!r}")
 
 
@@ -223,9 +159,12 @@ def load_functional(path: str, space: FiniteMetricSpace) -> Functional:
         except KeyError as exc:
             raise SchemaMismatch(f"{path}: {exc.args[0]}") from exc
         try:
-            coeffs[i] = _parse_number(value)
+            c = coeffs[i] = _parse_number(value)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaMismatch(f"{path}: {exc}") from exc
+        # Exact mode reads any int or rational; only a float can be infinite or NaN.
+        if (isinstance(c, float) or not space.exact) and not math.isfinite(coerce(c, False)):
+            raise SchemaMismatch(f"{path}: coefficient of {label!r} is not finite")
     return Functional(coeffs, space)
 
 

@@ -160,8 +160,7 @@ def validate_metric(
         a, scale = _lattice([[coerce(v, True) for v in row] for row in raw])
     else:
         plain = {type(v) for row in raw for v in row} <= {int, float}
-        m = raw if plain else [[coerce(v, False) for v in row] for row in raw]
-        a, scale = np.array(m, dtype=float), 1
+        a, scale = _float_array(raw if plain else [[coerce(v, False) for v in row] for row in raw]), 1
     return validate_grid(a, scale, labels, exact=exact, tol=tol)
 
 
@@ -289,6 +288,15 @@ def _lattice(m: Sequence[Sequence[Fraction]], scale: int = 1) -> Tuple[np.ndarra
     ints = [[v.numerator * (scale // v.denominator) for v in row] for row in m]
     top = max((abs(v) for row in ints for v in row), default=0)
     return np.array(ints, dtype=_int_dtype(top)), scale
+
+
+def _float_array(m: Sequence[Sequence[Number]]) -> np.ndarray:
+    """A matrix of ints, floats and rationals as float64, each entry read
+    as ``coerce(v, False)`` reads it: past float's range, as ±inf."""
+    try:
+        return np.array(m, dtype=float)
+    except OverflowError:
+        return np.array([[coerce(v, False) for v in row] for row in m], dtype=float)
 
 
 def _int_dtype(top: int) -> type:

@@ -34,7 +34,10 @@ def coerce(value: Number, exact: bool) -> Number:
                 raise ValueError(f"non-finite value {value!r} in exact mode")
             return Fraction(Decimal(str(value)))
         raise TypeError(f"cannot use {type(value).__name__} in exact mode")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or rational past float's range
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)

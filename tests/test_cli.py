@@ -206,6 +206,53 @@ def test_overflowing_distance_reports_one_json_error(tmp_path):
     assert set(doc) == {"error"}
 
 
+def _float_line(tmp_path, suffix, big=None):
+    """A 66-point space, so read in float mode, with ``big`` at (2, 3)."""
+    n = 66
+    labels = [f"p{i}" for i in range(n)]
+    dist = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    if big is not None:
+        dist[2][3] = dist[3][2] = big
+    space = tmp_path / f"space{suffix}"
+    if suffix == ".csv":
+        space.write_text("".join(",".join(map(str, row)) + "\n" for row in [labels] + dist))
+    else:
+        space.write_text(json.dumps({"labels": labels, "dist": dist}))
+    return space
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_integer_past_float_range_is_non_finite_distance(capsys, tmp_path, suffix):
+    # Read as inf, as the JSON number 1e400 is, not an OverflowError.
+    space = _float_line(tmp_path, suffix, big=10**400)
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"coeffs": {"p1": 1}}))
+    assert cli.main(["norm", "--input", str(space), "--functional", str(phi)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "NonFiniteDistance", "message": "dist[2][3] is not finite", "witness": [2, 3]
+    }
+
+
+@pytest.mark.parametrize(
+    "coeff", ["Infinity", "-Infinity", "NaN", "1e400", '"-1e400"', pytest.param(str(10**400), id="10**400")]
+)
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_finite_coefficient_is_schema_error(capsys, tmp_path, line_files, coeff, exact):
+    space, _ = line_files
+    label = "a" if exact else "p1"
+    if not exact:
+        space = _float_line(tmp_path, ".json")
+    phi = tmp_path / "phi.json"
+    phi.write_text(f'{{"coeffs": {{"{label}": {coeff}}}}}')
+    if exact and coeff == str(10**400):  # any integer is finite in exact mode
+        assert lfio.load_functional(str(phi), lfio.load_space(str(space))).coeffs == {1: 10**400}
+        return
+    assert cli.main(["norm", "--input", str(space), "--functional", str(phi)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "SchemaMismatch", "message": f"{phi}: coefficient of {label!r} is not finite"
+    }
+
+
 def test_internal_error_exits_three(monkeypatch, capsys, line_files):
     space, phi = line_files
 

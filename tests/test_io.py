@@ -1,6 +1,7 @@
 import csv
 import enum
 import io as stdio
+import itertools
 import json
 import math
 import random
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from lipfree import io as lfio
 from lipfree.errors import Error
 from lipfree.instances import line_space, random_space
-from lipfree.metric import FiniteMetricSpace, validate_metric
+from lipfree.metric import FiniteMetricSpace, ZeroOffDiagonal, validate_metric
 from lipfree.numerics import round12
 
 
@@ -225,6 +226,10 @@ _CELLS = [
     "2.5", "1e-3",
     "10" * 200, True, None, [1, 2], 2.5, 3, 10**400,
     "6/12", "0/0", "-0/5", "+0003", "1,2", "2,", "4/2/", "10" * 2200, 10**19, "99999999999999999999/7",
+    # Equal in Python to the int 0 diagonal or the int 2 background, but
+    # read differently: False is no number, and exact mode reads a float
+    # as the decimal it prints as.
+    False, 0.0, -0.0, 1.0, 2.0,
 ]
 
 
@@ -336,3 +341,116 @@ def test_lattice_load_matches_per_cell_reference(tmp_path, exact):
             if len(got) == 4:
                 lattices.add(got[1])
     assert lattices == {"|O", "<i8"}
+    # The int 2**70 equals the float 2.0**70, which exact mode reads as
+    # 1180591620717411300000: one table entry for both would misread a cell.
+    big = [[0, 2**70, 2.0**70], [2**70, 0, 2**70], [2.0**70, 2**70, 0]]
+    for path, cells in _write_space(tmp_path, "big", ["a", "b", "c"], big):
+        got = _load_outcome(lambda: lfio.load_space(str(path), exact=exact))
+        assert got == _load_outcome(lambda: _reference_load(str(path), ["a", "b", "c"], cells, exact))
+        assert "Fraction(1180591620717411300000, 1)" in got[0], path.suffix
+
+
+def test_signed_zeros_may_share_a_table_entry(tmp_path):
+    # 0.0 == -0.0, so the distinct-cell table reads both as the one it
+    # meets first, here -0.0.  That cannot show: validate_grid zeroes the
+    # diagonal and rejects every zero off it.
+    labels = ["a", "b", "c", "d"]
+    rows = [[0.0 if i == j else 1.5 for j in range(4)] for i in range(4)]
+    rows[0][0] = -0.0
+    for exact in (True, False):
+        for path, cells in _write_space(tmp_path, "z", labels, rows):
+            sp = lfio.load_space(str(path), exact=exact)
+            assert _load_outcome(lambda: sp) == _load_outcome(lambda: _reference_load(str(path), labels, cells, exact))
+            assert all(math.copysign(1.0, sp.grid[0][i, i]) == 1.0 for i in range(4))
+    rows[1][2] = rows[2][1] = 0.0
+    for exact in (True, False):
+        for path, _ in _write_space(tmp_path, "z", labels, rows):
+            with pytest.raises(ZeroOffDiagonal, match=r"dist\[1\]\[2\] = 0"):
+                lfio.load_space(str(path), exact=exact)
+
+
+def _json_space(tmp_path, labels, dist):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"labels": labels, "dist": dist}))
+    return path
+
+
+def _csv_space(tmp_path, text):
+    path = tmp_path / "odd.csv"
+    path.write_text(text)
+    return path
+
+
+# Schema oddities and the error each one raises; {p} stands for the path.
+_ODDITIES = [
+    ("row not an array", lambda t: _json_space(t, ["a", "b"], [[0, 1], 1]),
+     "SchemaMismatch", "{p}: 'int' object is not iterable"),
+    ("null row", lambda t: _json_space(t, ["a", "b"], [[0, 1], None]),
+     "SchemaMismatch", "{p}: 'NoneType' object is not iterable"),
+    ("bad cell before a bad row", lambda t: _json_space(t, ["a", "b"], [[0, "x"], 1]),
+     "SchemaMismatch", "{p}: invalid literal for int() with base 10: 'x'"),
+    ("bad row before a bad cell", lambda t: _json_space(t, ["a", "b"], [None, [1, "x"]]),
+     "SchemaMismatch", "{p}: 'NoneType' object is not iterable"),
+    ("string rows of bad digits", lambda t: _json_space(t, ["a", "b"], ["0x", "x0"]),
+     "SchemaMismatch", "{p}: invalid literal for int() with base 10: 'x'"),
+    ("ragged", lambda t: _json_space(t, ["a", "b", "c"], [[0, 1, 2], [1, 0], [2, 1, 0]]),
+     "MetricError", "matrix is not square: row 1 has 2 entries, expected 3"),
+    ("ragged with a bad cell", lambda t: _json_space(t, ["a", "b", "c"], [[0, 1, 2], [1, "x"], [2, 1, 0]]),
+     "SchemaMismatch", "{p}: invalid literal for int() with base 10: 'x'"),
+    ("CSV with too few labels", lambda t: _csv_space(t, "a,b\n0,1,2\n1,0,1\n2,1,0\n"),
+     "SchemaMismatch", "{p}: 2 labels but 3 rows"),
+    ("CSV with too few labels and a bad cell", lambda t: _csv_space(t, "a,b\n0,1,2\n1,0,x\n2,1,0\n"),
+     "SchemaMismatch", "{p}: invalid literal for int() with base 10: 'x'"),
+    ("list cell", lambda t: _json_space(t, ["a", "b"], [[0, [1]], [[1], 0]]),
+     "SchemaMismatch", "{p}: not a number: [1]"),
+    ("object cell", lambda t: _json_space(t, ["a", "b"], [[0, {}], [{}, 0]]),
+     "SchemaMismatch", "{p}: not a number: {}"),
+    ("null cell", lambda t: _json_space(t, ["a", "b"], [[0, None], [None, 0]]),
+     "SchemaMismatch", "{p}: not a number: None"),
+    ("duplicate labels", lambda t: _json_space(t, ["a", "a"], [[0, 1], [1, 0]]),
+     "MetricError", "duplicate point labels"),
+    ("duplicate labels and an int past float's range",
+     lambda t: _json_space(t, ["a", "a"], [[0, 10**400], [10**400, 0]]),
+     "MetricError", "duplicate point labels"),
+    ("empty dist", lambda t: _json_space(t, ["a"], []), "MetricError", "empty matrix"),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("make, kind, message", [c[1:] for c in _ODDITIES], ids=[c[0] for c in _ODDITIES])
+def test_schema_oddities(tmp_path, exact, make, kind, message):
+    path = make(tmp_path)
+    with pytest.raises(Error) as info:
+        lfio.load_space(str(path), exact=exact)
+    assert (type(info.value).__name__, str(info.value)) == (kind, message.replace("{p}", str(path)))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_string_rows_read_as_their_characters(tmp_path, exact):
+    sp = lfio.load_space(str(_json_space(tmp_path, ["a", "b"], ["01", "10"])), exact=exact)
+    assert sp.dist == ((0, 1), (1, 0))
+
+
+def test_each_distinct_cell_is_parsed_once(tmp_path, monkeypatch):
+    calls = []
+    parse = lfio._parse_number
+    monkeypatch.setattr(lfio, "_parse_number", lambda v: calls.append(v) or parse(v))
+    rng = random.Random(5)
+    # An exact line of 32 points at twelfths, as "p/q" strings.
+    xs = [0] + sorted(rng.sample(range(1, 600), 31))
+    rows = [[str(F(abs(x - y), 12)) for y in xs] for x in xs]
+    # A float CSV of 128 points from six spellings: "0.0" and five
+    # distances in [1, 2], which always form a metric.
+    n = 128
+    floats = [["0.0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            floats[i][j] = floats[j][i] = rng.choice(["1.0", "1.25", "1.5", "1.75", "2.0"])
+    (exact_json, _), _ = _write_space(tmp_path, "j", [f"p{i}" for i in range(32)], rows)
+    _, (float_csv, _) = _write_space(tmp_path, "c", [f"q{i}" for i in range(n)], floats)
+    for path, cells, exact in ((exact_json, rows, True), (float_csv, floats, False)):
+        calls.clear()
+        assert lfio.load_space(str(path)).exact is exact
+        distinct = set(itertools.chain.from_iterable(cells))
+        assert sorted(calls) == sorted(distinct)
+    assert len(distinct) == 6
