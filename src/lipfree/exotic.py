@@ -39,8 +39,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .metric import FiniteMetricSpace, validate_metric
-from .numerics import EXACT_SIZE_LIMIT, coerce
+from .metric import FiniteMetricSpace, _grid_of, validate_grid
+from .numerics import EXACT_SIZE_LIMIT
 
 
 @dataclass
@@ -168,28 +168,24 @@ class ExoticMetric:
                     return rational_enumeration(n)
         return Fraction(1, 2)
 
-    def as_space(
-        self, *, exact: Optional[bool] = None, validate: bool = False
-    ) -> FiniteMetricSpace:
-        """The metric as a space: every pair (2p, 2q+1) in one assignment."""
+    def as_space(self, *, exact: Optional[bool] = None) -> FiniteMetricSpace:
+        """The metric as a validated space: 0, 1/2 and the enumerated
+        rationals indexed by slot, every pair (2p, 2q+1) in one assignment."""
         N = self.N
         if exact is None:
             exact = N <= EXACT_SIZE_LIMIT
-        m = np.full((N, N), coerce(_HALF, exact), dtype=object if exact else float)
-        np.fill_diagonal(m, coerce(0, exact))
+        where = np.ones((N, N), dtype=np.intp)  # values[1] = 1/2
+        np.fill_diagonal(where, 0)
         # Row and column 0 of the slot table are empty, so p and q are the
         # family indices themselves.
         table = self.family._slots[: N // 2 + 1, : (N - 1) // 2 + 1]
         p, q = np.nonzero(table)
         n = table[p, q]
+        where[2 * p - 1, 2 * q] = where[2 * q, 2 * p - 1] = n + 1
         top = int(n.max(initial=0))
-        values = np.array([coerce(rational_enumeration(i), exact) for i in range(1, top + 1)], m.dtype)
-        m[2 * p - 1, 2 * q] = m[2 * q, 2 * p - 1] = values[n - 1]
-        labels = [str(i) for i in range(1, N + 1)]
-        rows = m.tolist()
-        if validate:
-            return validate_metric(rows, labels, exact=exact)
-        return FiniteMetricSpace(tuple(labels), tuple(tuple(row) for row in rows), exact)
+        values = [Fraction(0), _HALF] + [rational_enumeration(i) for i in range(1, top + 1)]
+        labels = tuple(str(i) for i in range(1, N + 1))
+        return validate_grid(*_grid_of(values, where, exact), labels, exact=exact)
 
 
 def exotic_metric(N: int, family: Optional[IFamily] = None) -> ExoticMetric:

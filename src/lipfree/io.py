@@ -14,22 +14,22 @@ decimal.  A distance matrix is read in one pass (``load_space``):
 - ``_parse_number`` reads each distinct cell once, so the first cell it
   rejects is the row-major first bad cell, and a ``SchemaMismatch``
   names it as a cell-by-cell parse would (a zero denominator included);
-- exact mode puts the distinct values on the integer lattice that
-  ``FiniteMetricSpace.grid`` holds, reading floats as ``coerce`` does;
-  float mode makes one float64 of each, an int too large for a float
-  becoming ±inf (a ``NonFiniteDistance``);
-- one fancy index gathers the matrix, and ``validate_grid`` checks it.
+- ``metric._grid_of`` puts the distinct values, read as ``coerce`` reads
+  them, on the integer lattice of ``FiniteMetricSpace.grid`` (exact mode)
+  or makes one float64 of each, ±inf past float's range (float mode), and
+  gathers the matrix; ``validate_grid`` checks it, and a non-finite value
+  is a ``NonFiniteDistance`` in either mode.
 
 In float mode a JSON matrix of plain numbers has nothing to parse and is
 converted in one step.
 
 Emitted numbers are fixed at 12 significant digits, except the distances
 of an exact space, which are written losslessly (integers as numbers,
-other rationals as "p/q" strings); float distances are rounded once per
-distinct bit pattern and scattered back (``_distinct12``).  ``dumps``
-writes exactly the bytes of ``json.dumps(doc, indent=2,
-allow_nan=False)``.  Keys keep their construction order, so identical
-runs are byte-identical.
+other rationals as "p/q" strings), each distinct entry of the grid
+formatted once and scattered back (``_distinct_text``).  An answer past
+float's range raises ``OutOfRange``.  ``dumps`` writes exactly the bytes
+of ``json.dumps(doc, indent=2, allow_nan=False)``.  Keys keep their
+construction order, so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ from .metric import (
     FiniteMetricSpace,
     Functional,
     LipschitzPotential,
+    _distinct,
     _float_array,
-    _lattice,
+    _grid_of,
     matrix_labels,
     validate_grid,
     validate_metric,  # noqa: F401 (benchmarks/tracing.py wraps lipfree.io.validate_metric)
@@ -123,8 +124,8 @@ def load_space(path: str, *, exact: bool | None = None, tol: float = 1e-9) -> Fi
     if is_csv and len(dist) != len(labels):
         raise SchemaMismatch(f"{path}: {len(labels)} labels but {len(dist)} rows")
     labels = matrix_labels(dist, labels)
-    a, scale = _lattice([[coerce(v, True) for v in values]]) if exact else (_float_array([values]), 1)
-    return validate_grid(a[0][where].reshape(len(labels), -1), scale, labels, exact=exact, tol=tol)
+    a, scale = _grid_of(values, np.reshape(where, (len(labels), -1)), exact)
+    return validate_grid(a, scale, labels, exact=exact, tol=tol)
 
 
 def _parse_cells(path: str, cells) -> List[Number]:
@@ -186,48 +187,42 @@ def load_pair_set(path: str, space: FiniteMetricSpace) -> PairSet:
         raise SchemaMismatch(f"{path}: {exc}") from exc
 
 
+class OutOfRange(Error):
+    """An answer too large in magnitude to write as a JSON number."""
+
+
 def jsonable_number(x: Number) -> float:
-    return round12(x)
-
-
-def _exact_number(x: Fraction):
-    """An integer as a JSON number, any other rational as a "p/q" string."""
-    return int(x) if x.denominator == 1 else exact_repr(x)
+    try:
+        return round12(x)
+    except OverflowError:
+        raise OutOfRange("an answer is past float's range and cannot be written") from None
 
 
 def space_doc(space: FiniteMetricSpace) -> Dict:
-    if space.exact:
-        dist = [[_exact_number(v) for v in row] for row in space.dist]
-    else:
-        text, where = _distinct12(space)
-        dist = np.array(list(map(float, text)), dtype=object)[where].tolist()
-    return {"labels": list(space.labels), "dist": dist}
+    text, where = _distinct_text(space)
+    # An exact integer is a JSON number, any other rational a "p/q" string.
+    cells = [t if "/" in t else int(t) for t in text] if space.exact else list(map(float, text))
+    return {"labels": list(space.labels), "dist": np.array(cells, dtype=object)[where].tolist()}
 
 
 def space_csv(space: FiniteMetricSpace) -> str:
     buf = _stdio.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(space.labels)
-    if space.exact:
-        rows = [[exact_repr(v) for v in row] for row in space.dist]
-    else:
-        text, where = _distinct12(space)
-        rows = np.array(text, dtype=object)[where].tolist()
+    text, where = _distinct_text(space)
     # Numbers hold no comma, quote or newline, so no cell needs quoting.
-    buf.writelines(",".join(row) + "\n" for row in rows)
+    buf.writelines(",".join(row) + "\n" for row in np.array(text, dtype=object)[where].tolist())
     return buf.getvalue()
 
 
-def _distinct12(space: FiniteMetricSpace) -> Tuple[List[str], np.ndarray]:
-    """The distinct distances at 12 significant digits, as ``round12``
-    writes them, and for each cell the index of its distance among them.
-
-    Distinct means a distinct bit pattern, so ``-0.0`` keeps its sign;
-    all of them are formatted by one ``%``.
-    """
-    a, _ = space.grid
-    bits, where = np.unique(a.view(np.int64), return_inverse=True)
-    text = " ".join(["%.12g"] * len(bits)) % tuple(bits.view(float).tolist())
-    return text.split(" "), where.reshape(a.shape)
+def _distinct_text(space: FiniteMetricSpace) -> Tuple[List[str], np.ndarray]:
+    """The grid's distinct entries (``metric._distinct``) as text, and for
+    each cell the index of its entry among them: exact entries losslessly
+    (``exact_repr``), float ones at 12 significant digits as ``round12``
+    writes them, all by one ``%``."""
+    values, where = _distinct(*space.grid, space.exact)
+    if space.exact:
+        return list(map(exact_repr, values)), where
+    return (" ".join(["%.12g"] * len(values)) % tuple(values)).split(" "), where
 
 
 def potential_doc(f: LipschitzPotential, space: FiniteMetricSpace) -> Dict:

@@ -72,14 +72,36 @@ class TriangleViolation(MetricError):
         super().__init__(f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}]", (i, j, k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """Point set with base point (index 0) and validated distance matrix."""
+    """Point set with base point (index 0) and validated distance matrix.
+
+    ``grid`` is the stored matrix: a read-only array and its scale.  Exact
+    mode: the distances times the lcm of their denominators, as integers
+    (see ``_lattice``).  Float mode: the distances as float64, scale 1.
+    """
 
     labels: Tuple[str, ...]
-    dist: Tuple[Tuple[Number, ...], ...]
+    grid: Tuple[np.ndarray, int]
     exact: bool
     tol: float = DEFAULT_TOLERANCE
+
+    def __post_init__(self):
+        self.grid[0].setflags(write=False)
+
+    @cached_property
+    def dist(self) -> Tuple[Tuple[Number, ...], ...]:
+        """``grid`` as nested tuples (``_grid_rows``), built on first read."""
+        return tuple(map(tuple, _grid_rows(*self.grid, self.exact)))
+
+    def _key(self) -> tuple:
+        return self.labels, self.dist, self.exact, self.tol
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -96,17 +118,6 @@ class FiniteMetricSpace:
     def d(self, i: int, j: int) -> Number:
         return self.dist[i][j]
 
-    @cached_property
-    def grid(self) -> Tuple[np.ndarray, int]:
-        """The distance matrix as a read-only array, and its scale.
-
-        Exact mode: ``dist`` times the lcm of its denominators, as integers
-        (see ``_lattice``).  Float mode: ``dist`` as float64, scale 1.
-        """
-        a, scale = _lattice(self.dist) if self.exact else (np.array(self.dist, dtype=float), 1)
-        a.setflags(write=False)
-        return a, scale
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -119,22 +130,10 @@ class FiniteMetricSpace:
         return ((i, j) for i in range(n) for j in range(n) if i != j)
 
     def with_mode(self, exact: bool, tol: float = DEFAULT_TOLERANCE) -> "FiniteMetricSpace":
-        """Same space with its numbers converted to the other arithmetic mode.
-
-        To float from a lattice whose entries and scale are below 2**53,
-        one array division: both convert to float64 exactly and the
-        quotient is correctly rounded, as ``float(Fraction)`` is.
-        """
-        if not exact:
-            a, scale = self.grid
-            if a.dtype != object and scale < 2**53 and np.abs(a).max(initial=0) < 2**53:
-                floats = a / scale
-                floats.setflags(write=False)
-                space = FiniteMetricSpace(self.labels, tuple(map(tuple, floats.tolist())), False, tol)
-                object.__setattr__(space, "grid", (floats, 1))
-                return space
-        rows = tuple(tuple(coerce(v, exact) for v in row) for row in self.dist)
-        return FiniteMetricSpace(self.labels, rows, exact, tol)
+        """Same space with its numbers converted to the other arithmetic
+        mode, each distinct distance once, as ``coerce`` converts it."""
+        grid = _grid_of(*_distinct(*self.grid, self.exact), exact)
+        return FiniteMetricSpace(self.labels, grid, exact, tol)
 
 
 def validate_metric(
@@ -154,10 +153,11 @@ def validate_metric(
     lexicographically first violating (i, j, k).
     """
     labels = matrix_labels(raw, labels)
+    n = len(raw)
     if exact is None:
-        exact = len(raw) <= EXACT_SIZE_LIMIT
-    if exact:
-        a, scale = _lattice([[coerce(v, True) for v in row] for row in raw])
+        exact = n <= EXACT_SIZE_LIMIT
+    if exact:  # cell by cell: a table of distinct Fractions costs more in hashing than it saves
+        a, scale = _grid_of([v for row in raw for v in row], np.arange(n * n).reshape(n, n), True)
     else:
         plain = {type(v) for row in raw for v in row} <= {int, float}
         a, scale = _float_array(raw if plain else [[coerce(v, False) for v in row] for row in raw]), 1
@@ -190,11 +190,10 @@ def validate_grid(
     """The axiom checks of ``validate_metric`` on a square matrix already in
     the form ``FiniteMetricSpace.grid`` holds, with ``labels`` as
     ``matrix_labels`` returns them; the space they validate keeps ``a``
-    (its diagonal zeroed, read-only) as its grid.
+    (its diagonal zeroed, read-only) as its grid, and builds no ``dist``.
 
     One code path for both modes: integers compare with tolerance 0,
-    floats as the Comparator does, ``abs(x - y) <= tol``.  Exact ``dist``
-    holds one ``Fraction(v, scale)`` per distinct integer ``v``.
+    floats as the Comparator does, ``abs(x - y) <= tol``.
     """
     t = 0 if exact else tol
     if not exact:
@@ -220,10 +219,7 @@ def validate_grid(
     if witness is not None:
         raise TriangleViolation(*witness)
 
-    space = FiniteMetricSpace(labels, tuple(map(tuple, _grid_rows(a, scale, exact))), exact, tol)
-    a.setflags(write=False)
-    object.__setattr__(space, "grid", (a, scale))
-    return space
+    return FiniteMetricSpace(labels, (a, scale), exact, tol)
 
 
 def _grid_rows(a: np.ndarray, scale: int, exact: bool) -> List[List[Number]]:
@@ -232,10 +228,32 @@ def _grid_rows(a: np.ndarray, scale: int, exact: bool) -> List[List[Number]]:
     entries of ``a`` (scale 1) as Python floats."""
     if not exact:
         return a.tolist()
-    values, where = np.unique(a.ravel(), return_inverse=True)
-    fractions = np.empty(len(values), dtype=object)
-    fractions[:] = [Fraction(v, scale) for v in values.tolist()]
-    return fractions[where].reshape(a.shape).tolist()
+    values, where = _distinct(a, scale, True)
+    return np.array(values, dtype=object)[where].tolist()
+
+
+def _distinct(a: np.ndarray, scale: int, exact: bool) -> Tuple[List[Number], np.ndarray]:
+    """The distinct entries of the grid ``(a, scale)``, and for each cell
+    the index of its entry among them: exact mode one ``Fraction(v, scale)``
+    per integer ``v``, float mode one float per bit pattern (``-0.0`` too)."""
+    keys, where = np.unique((a if exact else a.view(np.int64)).ravel(), return_inverse=True)
+    values = [Fraction(v, scale) for v in keys.tolist()] if exact else keys.view(float).tolist()
+    return values, where.reshape(a.shape)
+
+
+def _grid_of(values: Sequence[Number], where: np.ndarray, exact: bool) -> Tuple[np.ndarray, int]:
+    """The grid of the matrix whose cells are ``values[where]``, each value
+    read as ``coerce`` reads it: exact mode on the lattice of ``_lattice``,
+    float mode as float64 (past float's range, ±inf) with scale 1.  Exact
+    mode raises ``NonFiniteDistance`` for the row-major first NaN or inf."""
+    if not exact:
+        return _float_array([values])[0][where], 1
+    try:
+        a, scale = _lattice([[coerce(v, True) for v in values]])
+    except ValueError:
+        bad = np.array([isinstance(v, float) and not math.isfinite(v) for v in values])[where]
+        raise NonFiniteDistance(*(int(x) for x in np.argwhere(bad)[0])) from None
+    return a[0][where], scale
 
 
 def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] | None:
@@ -318,7 +336,8 @@ def _on_lattice(
         return np.array(rows, dtype=float), d, 1
     v, common = _lattice([[coerce(x, True) for x in row] for row in rows], scale)
     if common != scale:
-        d, _ = _lattice(space.dist, common)
+        k = common // scale  # a zero-only grid takes the dtype of k
+        d = d.astype(_int_dtype(k * max(1, int(np.abs(d).max())))) * k
     if v.dtype != d.dtype:
         v, d = v.astype(object), d.astype(object)
     return v, d, common

@@ -424,7 +424,7 @@ def c11_exotic(limit: Optional[int] = None) -> CriterionResult:
 
         N = 512 if limit is None else 64
         em = exotic_metric(N, build_i_family(max(2, N // 2)))
-        space = em.as_space(exact=False, validate=True)
+        space = em.as_space(exact=False)
         base_ok = all(em.d(1, x) == Fraction(1, 2) for x in range(2, N + 1))
         discrete_ok = all(
             Fraction(1, 2) <= em.d(1, x) <= 1 for x in range(2, N + 1)

@@ -395,3 +395,24 @@ def test_float_outputs_match_pinned_bytes(tmp_path):
             assert cli.main(argv) == 0
             got[f"{command} {name}"] = _sha256(out)
     assert got == _PINNED
+
+
+def test_non_finite_distance_in_exact_mode_names_its_cell(capsys, tmp_path, line_files):
+    _, phi = line_files
+    space = tmp_path / "inf.json"
+    space.write_text('{"labels": ["0", "a", "b"], "dist": [[0, 1, 2], [1, 0, Infinity], [2, Infinity, 0]]}')
+    assert cli.main(["norm", "--input", str(space), "--functional", str(phi), "--exact"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "NonFiniteDistance", "message": "dist[1][2] is not finite", "witness": [1, 2]
+    }
+
+
+@pytest.mark.parametrize("command", ["norm", "potential", "decompose"])
+def test_answer_past_float_range_is_input_error(capsys, tmp_path, line_files, command):
+    # Exact mode takes any integer coefficient; the answer cannot be a JSON float.
+    space, _ = line_files
+    phi = tmp_path / "big.json"
+    phi.write_text(f'{{"coeffs": {{"a": {10**400}}}}}')
+    assert cli.main([command, "--input", str(space), "--functional", str(phi)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]["type"] == "OutOfRange"

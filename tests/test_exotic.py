@@ -112,7 +112,7 @@ def test_exotic_metric_values(family):
 
 def test_exotic_space_validates_and_has_base_one(family):
     em = exotic_metric(48, family)
-    sp = em.as_space(validate=True)
+    sp = em.as_space()
     assert sp.labels[0] == "1"
     assert sp.n == 48
 
@@ -121,7 +121,7 @@ def test_exotic_space_validates_and_has_base_one(family):
 def test_as_space_matches_d_entrywise(N):
     em = exotic_metric(N)
     for exact in (True, False):
-        sp = em.as_space(exact=exact, validate=True)
+        sp = em.as_space(exact=exact)
         expected = tuple(
             tuple(coerce(em.d(x, y), exact) for y in range(1, N + 1)) for x in range(1, N + 1)
         )

@@ -9,14 +9,16 @@ import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipfree import io as lfio
 from lipfree.errors import Error
 from lipfree.instances import line_space, random_space
-from lipfree.metric import FiniteMetricSpace, ZeroOffDiagonal, validate_metric
-from lipfree.numerics import round12
+from lipfree.exotic import exotic_metric
+from lipfree.metric import FiniteMetricSpace, NonFiniteDistance, ZeroOffDiagonal, validate_metric
+from lipfree.numerics import coerce, round12
 
 
 def test_load_space_json(tmp_path):
@@ -163,14 +165,14 @@ def test_dumps_non_string_keys_and_subclasses():
 def _float_spaces():
     """Float spaces with awkward digits: thirds over many decades, 12-digit
     ties, signed zeros, subnormals and huge entries (space_doc and space_csv
-    read only labels, dist and mode, so these need not be metrics)."""
+    read only labels, grid and mode, so these need not be metrics)."""
     for seed in range(40):
         sp = random_space(2 + seed % 11, seed, exact=False)
         scale = 10.0 ** (seed % 13 - 6) / 3
-        yield FiniteMetricSpace(sp.labels, tuple(tuple(v * scale for v in row) for row in sp.dist), False)
+        yield FiniteMetricSpace(sp.labels, (sp.grid[0] * scale, 1), False)
     odd = [0.0, -0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0000000000005, 2.5e-7, 123456789012.5, -1.5, 7]
-    rows = tuple(tuple(odd[(i + j) % 10] for j in range(10)) for i in range(10))
-    yield FiniteMetricSpace(tuple("abcdefghij"), rows, False)
+    rows = [[odd[(i + j) % 10] for j in range(10)] for i in range(10)]
+    yield FiniteMetricSpace(tuple("abcdefghij"), (np.array(rows, dtype=float), 1), False)
 
 
 def test_float_rounding_per_array_matches_per_cell():
@@ -454,3 +456,57 @@ def test_each_distinct_cell_is_parsed_once(tmp_path, monkeypatch):
         distinct = set(itertools.chain.from_iterable(cells))
         assert sorted(calls) == sorted(distinct)
     assert len(distinct) == 6
+
+
+def _built_spaces(tmp_path):
+    """(space, the dist it should read) from every builder, the reference
+    read cell by cell: an exact and a float matrix through validate_metric,
+    JSON and CSV, with_mode both ways, and as_space in both modes."""
+    exact_rows = [[v * F(7, 5) for v in row] for row in random_space(9, 4).dist]
+    pts = np.random.default_rng(4).random((12, 3))
+    float_rows = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)).tolist()
+    for rows, exact in ((exact_rows, True), (float_rows, False)):
+        labels = [f"p{i}" for i in range(len(rows))]
+        want = tuple(map(tuple, rows))
+        yield validate_metric(rows, labels, exact=exact), want
+        json_path, csv_path = tmp_path / f"{exact}.json", tmp_path / f"{exact}.csv"
+        cells = [[str(v) if exact else v for v in row] for row in rows]
+        json_path.write_text(json.dumps({"labels": labels, "dist": cells}))
+        csv_path.write_text(",".join(labels) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        for path in (json_path, csv_path):
+            yield lfio.load_space(str(path), exact=exact), want
+        sp = validate_metric(rows, exact=exact)
+        yield sp.with_mode(not exact), tuple(tuple(coerce(v, not exact) for v in row) for row in rows)
+    em = exotic_metric(17)
+    for exact in (True, False):
+        want = tuple(tuple(coerce(em.d(x, y), exact) for y in range(1, 18)) for x in range(1, 18))
+        yield em.as_space(exact=exact), want
+
+
+def test_every_builder_stores_one_read_only_grid(tmp_path):
+    spaces = []
+    for sp, want in _built_spaces(tmp_path):
+        assert not sp.grid[0].flags.writeable and "dist" not in vars(sp)
+        assert repr(sp.dist) == repr(want) and "dist" in vars(sp)
+        spaces.append(sp)
+    # One exact matrix through validate_metric, JSON and CSV: equal spaces, equal hashes.
+    exact = spaces[:3]
+    assert all(sp == exact[0] and hash(sp) == hash(exact[0]) for sp in exact)
+    assert exact[0] != spaces[3]  # the same matrix as floats
+
+
+@pytest.mark.parametrize("cell", ["Infinity", "NaN", "1e400", '"-1e400"'])
+def test_non_finite_distance_is_named_in_both_modes(tmp_path, cell):
+    # Cells (1, 3) and (3, 1) hold the value; (2, 3) and (3, 2) another non-finite one.
+    rows = [["0", "1", "1", "1"], ["1", "0", "1", cell], ["1", "1", "0", "NaN"], ["1", cell, "NaN", "0"]]
+    path = tmp_path / "space.json"
+    dist = ", ".join("[" + ", ".join(r) + "]" for r in rows)
+    path.write_text('{"labels": ["a", "b", "c", "d"], "dist": [%s]}' % dist)
+    raw = [[_reference_number(v) for v in row] for row in json.loads(path.read_text())["dist"]]
+    outcomes = set()
+    for exact in (None, True, False):
+        for build in (lambda: lfio.load_space(str(path), exact=exact), lambda: validate_metric(raw, exact=exact)):
+            with pytest.raises(NonFiniteDistance) as exc:
+                build()
+            outcomes.add((type(exc.value), str(exc.value), exc.value.witness))
+    assert outcomes == {(NonFiniteDistance, "dist[1][3] is not finite", (1, 3))}

@@ -32,6 +32,7 @@ from lipfree.metric import (
     _triangle_witness,
 )
 from lipfree.instances import random_space
+from lipfree.numerics import coerce
 
 
 LINE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]  # colinear 0, a, b
@@ -253,6 +254,13 @@ def test_with_mode_to_float_matches_per_cell(mult, dtype, fast):
         assert repr(fsp.dist) == repr(want) and not fsp.exact
         grid, one = fsp.grid
         assert one == 1 and grid.tobytes() == np.array(want).tobytes() and not grid.flags.writeable
+        # and back: float to exact, each float read with decimal-literal semantics
+        esp = fsp.with_mode(exact=True)
+        want = tuple(tuple(coerce(v, True) for v in row) for row in fsp.dist)
+        assert repr(esp.dist) == repr(want) and esp.exact
+        grid, scale = esp.grid
+        ref, ref_scale = _lattice(want)
+        assert scale == ref_scale and grid.dtype == ref.dtype and grid.tolist() == ref.tolist()
 
 
 def test_worst_pair_separation_matches_bruteforce():
