@@ -162,7 +162,7 @@ def _cmd_gen_exotic(args) -> int:
     if args.out and args.out.endswith(".csv"):
         _emit(lfio.space_csv(space), args.out)
     else:
-        _emit(lfio.dumps(lfio.space_doc(space)), args.out)
+        _emit(lfio.space_json(space), args.out)
     if args.out:
         gamma_path = args.out + ".gamma.json"
         table = {}

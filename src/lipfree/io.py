@@ -25,11 +25,12 @@ converted in one step.
 
 Emitted numbers are fixed at 12 significant digits, except the distances
 of an exact space, which are written losslessly (integers as numbers,
-other rationals as "p/q" strings), each distinct entry of the grid
-formatted once and scattered back (``_distinct_text``).  An answer past
-float's range raises ``OutOfRange``.  ``dumps`` writes exactly the bytes
-of ``json.dumps(doc, indent=2, allow_nan=False)``.  Keys keep their
-construction order, so identical runs are byte-identical.
+other rationals as "p/q" strings).  An answer past float's range raises
+``OutOfRange``.  ``dumps`` is ``json.dumps(doc, indent=2,
+allow_nan=False)``; keys keep their construction order, so identical runs
+are byte-identical.  A space is written as text in the same layout
+(``space_json``) or as CSV (``space_csv``), each distinct entry of the
+grid formatted once and scattered back (``_distinct_text``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -198,11 +199,23 @@ def jsonable_number(x: Number) -> float:
         raise OutOfRange("an answer is past float's range and cannot be written") from None
 
 
-def space_doc(space: FiniteMetricSpace) -> Dict:
+def space_json(space: FiniteMetricSpace) -> str:
+    """The space as ``dumps`` writes ``{"labels": [...], "dist": [[...]]}``.
+
+    An exact integer is a JSON number, any other rational a "p/q" string,
+    and a float the shortest repr of its 12-digit text; one ``json.dumps``
+    encodes the distinct entries, whose texts hold no ", ".
+    """
     text, where = _distinct_text(space)
-    # An exact integer is a JSON number, any other rational a "p/q" string.
-    cells = [t if "/" in t else int(t) for t in text] if space.exact else list(map(float, text))
-    return {"labels": list(space.labels), "dist": np.array(cells, dtype=object)[where].tolist()}
+    values = [t if "/" in t else int(t) for t in text] if space.exact else list(map(float, text))
+    cells = json.dumps(values, allow_nan=False)[1:-1].split(", ")
+    rows = np.array(cells, dtype=object)[where].tolist()
+    return (
+        '{\n  "labels": [\n    ' + ",\n    ".join(map(json.dumps, space.labels))
+        + '\n  ],\n  "dist": [\n    '
+        + ",\n    ".join("[\n      " + ",\n      ".join(row) + "\n    ]" for row in rows)
+        + "\n  ]\n}\n"
+    )
 
 
 def space_csv(space: FiniteMetricSpace) -> str:
@@ -219,9 +232,10 @@ def _distinct_text(space: FiniteMetricSpace) -> Tuple[List[str], np.ndarray]:
     each cell the index of its entry among them: exact entries losslessly
     (``exact_repr``), float ones at 12 significant digits as ``round12``
     writes them, all by one ``%``."""
-    values, where = _distinct(*space.grid, space.exact)
+    a, scale = space.grid
+    values, where = _distinct(a, space.exact)
     if space.exact:
-        return list(map(exact_repr, values)), where
+        return [exact_repr(Fraction(v, scale)) for v in values], where
     return (" ".join(["%.12g"] * len(values)) % tuple(values)).split(" "), where
 
 
@@ -257,73 +271,5 @@ def certificate_doc(cert: CycleCertificate, space: FiniteMetricSpace) -> Dict:
 
 
 def dumps(doc: Any) -> str:
-    """Fixed-format JSON: stable key order as constructed, no NaN/Inf.
-
-    The text is that of ``json.dumps(doc, indent=2, allow_nan=False)``,
-    whose indented form runs the standard library's pure-Python encoder;
-    ``_encode`` writes the same bytes for the types the CLI emits, and a
-    list of floats in one ``join`` (see ``_float_texts``).  Anything else
-    (other types, non-finite floats, non-string keys, a cycle) goes to
-    ``json.dumps``, which writes it or raises its usual ``TypeError`` or
-    ``ValueError``.
-    """
-    try:
-        return _encode(doc, "\n") + "\n"
-    except (_Unsupported, RecursionError):
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-class _Unsupported(Exception):
-    """A value ``_encode`` leaves to ``json.dumps``."""
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _encode(o: Any, newline: str) -> str:
-    """``o`` as indented JSON; ``newline`` is a newline plus the indent of
-    the line ``o`` starts on."""
-    t = type(o)
-    if t is str:
-        return _quote(o)
-    if t is float:
-        if not math.isfinite(o):
-            raise _Unsupported
-        return float.__repr__(o)
-    if t is int:
-        return int.__repr__(o)
-    if o is None:
-        return "null"
-    if t is bool:
-        return "true" if o else "false"
-    inner = newline + "  "
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        if set(map(type, o)) == {float}:
-            items = _float_texts(o)
-        else:
-            items = [_encode(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if t is dict:
-        if not o:
-            return "{}"
-        if not all(type(k) is str for k in o):
-            raise _Unsupported
-        items = [_quote(k) + ": " + _encode(v, inner) for k, v in o.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise _Unsupported
-
-
-def _float_texts(o) -> Iterator[str]:
-    """``float.__repr__`` of each float in ``o``, formatted once per
-    distinct object: ``space_doc`` puts one float object per distinct
-    distance in every cell that holds it.  ``o`` holds its floats, so no
-    two of them share an id.
-    """
-    ids = list(map(id, o))
-    first = dict(zip(ids, o))
-    if not all(map(math.isfinite, first.values())):
-        raise _Unsupported
-    text = dict(zip(first, map(float.__repr__, first.values())))
-    return map(text.__getitem__, ids)
+    """Fixed-format JSON: stable key order as constructed, no NaN/Inf."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

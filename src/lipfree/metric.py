@@ -131,9 +131,14 @@ class FiniteMetricSpace:
 
     def with_mode(self, exact: bool, tol: float = DEFAULT_TOLERANCE) -> "FiniteMetricSpace":
         """Same space with its numbers converted to the other arithmetic
-        mode, each distinct distance once, as ``coerce`` converts it."""
-        grid = _grid_of(*_distinct(*self.grid, self.exact), exact)
-        return FiniteMetricSpace(self.labels, grid, exact, tol)
+        mode, each distinct distance once, as ``coerce`` converts it (an
+        exact one to float by correctly rounded int division)."""
+        a, scale = self.grid
+        values, where = _distinct(a, self.exact)
+        if self.exact:
+            convert = Fraction if exact else _quotient
+            values = [convert(v, scale) for v in values]
+        return FiniteMetricSpace(self.labels, _grid_of(values, where, exact), exact, tol)
 
 
 def validate_metric(
@@ -228,17 +233,25 @@ def _grid_rows(a: np.ndarray, scale: int, exact: bool) -> List[List[Number]]:
     entries of ``a`` (scale 1) as Python floats."""
     if not exact:
         return a.tolist()
-    values, where = _distinct(a, scale, True)
-    return np.array(values, dtype=object)[where].tolist()
+    values, where = _distinct(a, True)
+    return np.array([Fraction(v, scale) for v in values], dtype=object)[where].tolist()
 
 
-def _distinct(a: np.ndarray, scale: int, exact: bool) -> Tuple[List[Number], np.ndarray]:
-    """The distinct entries of the grid ``(a, scale)``, and for each cell
-    the index of its entry among them: exact mode one ``Fraction(v, scale)``
-    per integer ``v``, float mode one float per bit pattern (``-0.0`` too)."""
+def _distinct(a: np.ndarray, exact: bool) -> Tuple[List[Number], np.ndarray]:
+    """The distinct entries of a grid's array ``a``, and for each cell the
+    index of its entry among them: exact mode one Python int per lattice
+    integer, float mode one float per bit pattern (``-0.0`` too)."""
     keys, where = np.unique((a if exact else a.view(np.int64)).ravel(), return_inverse=True)
-    values = [Fraction(v, scale) for v in keys.tolist()] if exact else keys.view(float).tolist()
-    return values, where.reshape(a.shape)
+    return (keys if exact else keys.view(float)).tolist(), where.reshape(a.shape)
+
+
+def _quotient(v: int, scale: int) -> float:
+    """``v / scale`` as ``coerce(Fraction(v, scale), False)`` reads it:
+    correctly rounded, and ±inf past float's range."""
+    try:
+        return v / scale
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _grid_of(values: Sequence[Number], where: np.ndarray, exact: bool) -> Tuple[np.ndarray, int]:
@@ -391,18 +404,21 @@ def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _cone_envelope(
+def _pinned_envelope(
     anchors: Sequence[int], values: Sequence[Number], space: FiniteMetricSpace
-) -> List[Number]:
-    """[max over k of (values[k] - d(anchors[k], z)) for z in space.points].
+) -> LipschitzPotential:
+    """z -> max over k of (values[k] - d(anchors[k], z)), less its value at
+    the base point.
 
     The least 1-Lipschitz function that is at least values[k] at each
-    anchor: a max of distance cones.  Ties go to the first anchor, which
+    anchor (a max of distance cones), shifted to vanish at the base point,
+    so it needs no projection step.  Ties go to the first anchor, which
     fixes the sign of a float zero.
     """
     (v,), d, scale = _on_lattice([values], space)
     top = _cone_top(v, d[list(anchors)]).tolist()
-    return [Fraction(x, scale) for x in top] if space.exact else top
+    pinned = [x - top[0] for x in top]
+    return LipschitzPotential.build([Fraction(x, scale) for x in pinned] if space.exact else pinned, space)
 
 
 def _cone_top(v: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import Error, InternalError
-from .metric import FiniteMetricSpace, LipschitzPotential, _cone_envelope
+from .metric import FiniteMetricSpace, LipschitzPotential, _pinned_envelope
 from .numerics import Number, coerce
 
 Pair = Tuple[int, int]
@@ -236,13 +236,11 @@ def build_extremal_potential(C: PairSet, space: FiniteMetricSpace) -> LipschitzP
         certificate = check_cyclically_monotone(C, space)
         if not certificate.monotone:
             raise NotMonotone(certificate)
-    raw = _cone_envelope(
+    return _pinned_envelope(
         [x for x, _ in nodes],
         [space.d(x, y) - dist[p] for p, (x, y) in enumerate(nodes)],
         space,
     )
-    base = raw[0]
-    return LipschitzPotential.build([v - base for v in raw], space)
 
 
 def verify_extremal(

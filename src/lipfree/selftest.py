@@ -474,7 +474,7 @@ def c12_cli_golden(limit: Optional[int] = None) -> CriterionResult:
             phi = random_functional(space, seed=43)
             space_path = os.path.join(tmp, "space.json")
             with open(space_path, "w") as fh:
-                fh.write(lfio.dumps(lfio.space_doc(space)))
+                fh.write(lfio.space_json(space))
             func_path = os.path.join(tmp, "phi.json")
             with open(func_path, "w") as fh:
                 fh.write(

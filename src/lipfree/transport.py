@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Set, Tuple
 
 from .errors import Error, InternalError
 from .metric import (
@@ -32,7 +32,7 @@ from .metric import (
     Functional,
     LipschitzPotential,
     Molecule,
-    _cone_envelope,
+    _pinned_envelope,
     functionals_equal,
 )
 from .numerics import Number, coerce
@@ -298,20 +298,6 @@ def _solve_min_cost(
     return flow, pot
 
 
-def _dual_potential(
-    pot: Dict[int, Number], sources: Iterable[int], space: FiniteMetricSpace
-) -> LipschitzPotential:
-    """Extend the source potentials to all of M and pin the base point.
-
-    f(z) = max over sources x of (u(x) - d(x, z)) is 1-Lipschitz as a max
-    of 1-Lipschitz functions, so the certificate needs no projection step.
-    """
-    src = sorted(sources)
-    raw = _cone_envelope(src, [-pot[s] for s in src], space)
-    base = raw[0]
-    return LipschitzPotential.build([v - base for v in raw], space)
-
-
 def optimal_coupling(phi: Functional, space: FiniteMetricSpace) -> TransportResult:
     """Solve the transport problem for phi and emit all certificates."""
     if phi.is_zero():
@@ -331,7 +317,9 @@ def optimal_coupling(phi: Functional, space: FiniteMetricSpace) -> TransportResu
     cost = sum((m * space.d(x, y) for (x, y), m in flow.items()), start=0)
     coupling = PairMeasure(flow)
     representation = PairMeasure({p: m * space.d(*p) for p, m in flow.items()})
-    potential = _dual_potential(pot, sources, space)
+    # f(z) = max over sources x of (u(x) - d(x, z)), pinned at the base point.
+    src = sorted(sources)
+    potential = _pinned_envelope(src, [-pot[s] for s in src], space)
     return TransportResult(cost, coupling, representation, potential)
 
 

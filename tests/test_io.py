@@ -1,5 +1,4 @@
 import csv
-import enum
 import io as stdio
 import itertools
 import json
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipfree import io as lfio
+from lipfree.cli import main
 from lipfree.errors import Error
 from lipfree.instances import line_space, random_space
 from lipfree.exotic import exotic_metric
@@ -73,11 +73,23 @@ def test_dumps_is_stable_and_rejects_nonfinite():
         lfio.dumps({"x": float("inf")})
 
 
+def _per_cell_json(sp):
+    """``json.dumps`` of the space's document built cell by cell: exact
+    integers as numbers, other rationals as "p/q", floats by ``round12``."""
+    if sp.exact:
+        dist = [[int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}" for v in row] for row in sp.dist]
+    else:
+        dist = [[round12(v) for v in row] for row in sp.dist]
+    return json.dumps({"labels": list(sp.labels), "dist": dist}, indent=2, allow_nan=False) + "\n"
+
+
 def test_space_doc_roundtrips_dyadic_space():
     sp = random_space(4, seed=1)
-    doc = lfio.space_doc(sp)
+    text = lfio.space_json(sp)
+    assert text == _per_cell_json(sp)
+    doc = json.loads(text)
     assert doc["labels"] == list(sp.labels)
-    assert doc["dist"][0][0] == 0.0
+    assert doc["dist"][0][0] == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,7 +101,8 @@ def test_exact_space_reloads_losslessly(n, seed):
     with tempfile.TemporaryDirectory() as tmp:
         as_json = Path(tmp) / "s.json"
         as_csv = Path(tmp) / "s.csv"
-        as_json.write_text(lfio.dumps(lfio.space_doc(sp)))
+        as_json.write_text(lfio.space_json(sp))
+        assert as_json.read_text() == _per_cell_json(sp)
         as_csv.write_text(lfio.space_csv(sp))
         for path in (as_json, as_csv):
             back = lfio.load_space(str(path))
@@ -97,74 +110,39 @@ def test_exact_space_reloads_losslessly(n, seed):
             assert back.dist == sp.dist
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_JSON_LEAF = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**300), max_value=10**300),
-    _FINITE,
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1e16, 0.1]),
-    st.text(),
-    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\r\t\b\f", "\u2028", "é", "\U0001f600", "\ud800"]),
-)
-_JSON_DOC = st.recursive(
-    _JSON_LEAF,
-    lambda kids: st.one_of(
-        st.lists(kids),
-        st.lists(kids).map(tuple),
-        st.lists(_FINITE, min_size=1),
-        st.dictionaries(st.text(), kids),
-    ),
-    max_leaves=40,
-)
+def _exact_spaces():
+    """Exact spaces with "p/q" cells, on int64 and Python-int lattices,
+    n = 1, and labels with quotes, backslashes and non-ASCII text."""
+    labels = ['q"0', "é1", "a\\b", "\U0001f600", "x\ny", "", "6", "7", "8"]
+    for t in range(12):
+        base = random_space(2 + t % 8, t)
+        mult = [1, F(7, 5), F(10**20 + 39, 10**19 + 7), 2**64 + 1][t % 4]
+        rows = [[v * mult for v in row] for row in base.dist]
+        yield validate_metric(rows, labels[: base.n], exact=True)
+    yield validate_metric([[0]], ['"é"'], exact=True)
+    yield validate_metric([[0, 2**70], [2**70, 0]], ["\u2028", "b"], exact=True)
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
+def test_exact_space_json_matches_per_cell():
+    dtypes = set()
+    for sp in _exact_spaces():
+        assert lfio.space_json(sp) == _per_cell_json(sp)
+        dtypes.add(sp.grid[0].dtype.str)
+    assert dtypes == {"<i8", "|O"}
 
 
-@settings(max_examples=150, deadline=None)
-@given(doc=_JSON_DOC)
-def test_dumps_matches_json_dumps(doc):
-    assert lfio.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    doc=_JSON_DOC,
-    bad=st.sampled_from([math.inf, -math.inf, math.nan, object(), F(1, 3), {1, 2}, b"x", 1j]),
-    where=st.integers(0, 3),
-)
-def test_dumps_raises_as_json_dumps(doc, bad, where):
-    wrapped = [
-        [doc, bad],
-        {"a": doc, "b": [1.5, bad]},
-        [[0.5, 2.0, bad]],
-        {"k": {"deep": (doc, bad)}},
-    ][where]
-    expected = _outcome(lambda: json.dumps(wrapped, indent=2, allow_nan=False) + "\n")
-    assert isinstance(expected, tuple) and expected[0] in (TypeError, ValueError)
-    assert _outcome(lambda: lfio.dumps(wrapped)) == expected
-
-
-def test_dumps_non_string_keys_and_subclasses():
-    class Level(enum.IntEnum):
-        LOW = 1
-
-    doc = {1: [Level.LOW], 2.5: None, True: "t", None: [], "s": {"": {}}}
-    assert lfio.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    cyclic = [1.0]
-    cyclic.append(cyclic)
-    assert _outcome(lambda: lfio.dumps(cyclic)) == (ValueError, "Circular reference detected")
+@pytest.mark.parametrize("N", [8, 64, 256])
+def test_gen_exotic_json_is_json_dumps_layout(capsys, N):
+    assert main(["gen-exotic", "--N", str(N)]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert len(doc["dist"]) == N
+    assert json.dumps(doc, indent=2) + "\n" == text
 
 
 def _float_spaces():
     """Float spaces with awkward digits: thirds over many decades, 12-digit
-    ties, signed zeros, subnormals and huge entries (space_doc and space_csv
+    ties, signed zeros, subnormals and huge entries (space_json and space_csv
     read only labels, grid and mode, so these need not be metrics)."""
     for seed in range(40):
         sp = random_space(2 + seed % 11, seed, exact=False)
@@ -177,11 +155,7 @@ def _float_spaces():
 
 def test_float_rounding_per_array_matches_per_cell():
     for sp in _float_spaces():
-        doc = lfio.space_doc(sp)
-        per_cell = [[round12(v) for v in row] for row in sp.dist]
-        assert repr(doc["dist"]) == repr(per_cell)
-        want = json.dumps({"labels": list(sp.labels), "dist": per_cell}, indent=2, allow_nan=False)
-        assert lfio.dumps(doc) == want + "\n"
+        assert lfio.space_json(sp) == _per_cell_json(sp)
         buf = stdio.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(sp.labels)

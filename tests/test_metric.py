@@ -26,8 +26,8 @@ from lipfree.metric import (
     MetricError,
     NonFiniteDistance,
     NonzeroDiagonal,
-    _cone_envelope,
     _lattice,
+    _pinned_envelope,
     _ratio_extreme,
     _triangle_witness,
 )
@@ -211,13 +211,11 @@ def test_cone_envelope_matches_bruteforce():
     rng = random.Random(6)
     for sp, vectors in _kernel_cases():
         for vals in vectors:
-            anchors = sorted(rng.sample(range(sp.n), rng.randint(1, sp.n)))
-            values = [vals[a] for a in anchors]
-            got = _cone_envelope(anchors, values, sp)
-            assert repr(got) == repr(_cone_reference(anchors, values, sp))
-            negated = [-v for v in vals]
-            got = _cone_envelope(sp.points, negated, sp)
-            assert repr(got) == repr(_cone_reference(sp.points, negated, sp))
+            sample = sorted(rng.sample(range(sp.n), rng.randint(1, sp.n)))
+            for anchors, values in ((sample, [vals[a] for a in sample]), (sp.points, [-v for v in vals])):
+                want = _cone_reference(anchors, values, sp)
+                got = _pinned_envelope(anchors, values, sp).values
+                assert repr(got) == repr(tuple(v - want[0] for v in want))
 
 
 def test_ratio_extreme_settles_float_inversions():
