@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import os
 import sys
 from typing import List, Optional
@@ -80,15 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        lfio.write_text(out, text)
     else:
         sys.stdout.write(text)
 
 
 def _load_space(args):
-    if args.tolerance <= 0:
-        raise ValueError("tolerance must be positive in float mode")
+    if not 0 < args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be positive and finite, got {args.tolerance}")
     exact = True if args.exact else None
     return lfio.load_space(args.input, exact=exact, tol=args.tolerance)
 
@@ -173,8 +173,7 @@ def _cmd_gen_exotic(args) -> int:
                 break
             table[str(n)] = [[k, p] for k, p in pairs]
             n += 1
-        with open(gamma_path, "w") as fh:
-            fh.write(lfio.dumps({"horizon": em.family.horizon, "gamma": table}))
+        lfio.write_text(gamma_path, lfio.dumps({"horizon": em.family.horizon, "gamma": table}))
     return EXIT_OK
 
 

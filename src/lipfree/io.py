@@ -59,7 +59,7 @@ from .metric import (
     validate_metric,  # noqa: F401 (benchmarks/tracing.py wraps lipfree.io.validate_metric)
 )
 from .monotonicity import CycleCertificate, PairSet
-from .numerics import EXACT_SIZE_LIMIT, Number, coerce, exact_repr, round12
+from .numerics import DEFAULT_TOLERANCE, EXACT_SIZE_LIMIT, Number, coerce, exact_repr, round12
 from .transport import PairMeasure, TransportResult
 
 
@@ -71,6 +71,10 @@ class SchemaMismatch(Error):
     """The input parsed but does not match the declared schema."""
 
 
+class WriteError(Error):
+    """An output file could not be written."""
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -78,6 +82,13 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # a ValueError, so it would pass as one
         raise ParseError(f"{path} is not text in the expected encoding: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_json(path: str) -> Any:
@@ -88,7 +99,9 @@ def _read_json(path: str) -> Any:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_space(path: str, *, exact: bool | None = None, tol: float = 1e-9) -> FiniteMetricSpace:
+def load_space(
+    path: str, *, exact: bool | None = None, tol: float = DEFAULT_TOLERANCE
+) -> FiniteMetricSpace:
     """Load a metric space from JSON or CSV (by extension) and validate it."""
     is_csv = path.endswith(".csv")
     if is_csv:

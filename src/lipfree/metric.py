@@ -129,16 +129,16 @@ class FiniteMetricSpace:
         n = self.n
         return ((i, j) for i in range(n) for j in range(n) if i != j)
 
-    def with_mode(self, exact: bool, tol: float = DEFAULT_TOLERANCE) -> "FiniteMetricSpace":
-        """Same space with its numbers converted to the other arithmetic
-        mode, each distinct distance once, as ``coerce`` converts it (an
-        exact one to float by correctly rounded int division)."""
+    def with_mode(self, exact: bool) -> "FiniteMetricSpace":
+        """Same space, tolerance included, with its numbers converted to the
+        other arithmetic mode, each distinct distance once, as ``coerce``
+        converts it (an exact one to float by correctly rounded int division)."""
         a, scale = self.grid
         values, where = _distinct(a, self.exact)
         if self.exact:
             convert = Fraction if exact else _quotient
             values = [convert(v, scale) for v in values]
-        return FiniteMetricSpace(self.labels, _grid_of(values, where, exact), exact, tol)
+        return FiniteMetricSpace(self.labels, _grid_of(values, where, exact), exact, self.tol)
 
 
 def validate_metric(

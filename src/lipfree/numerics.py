@@ -55,16 +55,10 @@ class Comparator:
             return a == b
         return abs(a - b) <= self.tol
 
-    def ne(self, a: Number, b: Number = 0) -> bool:
-        return not self.eq(a, b)
-
     def le(self, a: Number, b: Number = 0) -> bool:
         if self.exact:
             return a <= b
         return a <= b + self.tol
-
-    def ge(self, a: Number, b: Number = 0) -> bool:
-        return self.le(b, a)
 
     def lt(self, a: Number, b: Number = 0) -> bool:
         return not self.le(b, a)

@@ -191,6 +191,36 @@ def test_unknown_log_level_rejected_in_process(monkeypatch, capsys, line_files):
     assert json.loads(err)["error"] == {"type": "ValueError", "message": "Unknown level: 'VERBOSE'"}
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_tolerance_outside_zero_to_inf_is_input_error(capsys, line_files, tolerance):
+    space, phi = line_files
+    args = ["norm", "--input", str(space), "--functional", str(phi), "--tolerance", tolerance]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and error["message"].startswith("--tolerance ")
+
+
+@pytest.mark.parametrize("command", ["norm", "gen-exotic", "gen-exotic gamma"])
+def test_unwritable_out_is_input_error(capsys, tmp_path, line_files, command):
+    space, phi = line_files
+    out = tmp_path / "missing" / "x.json"
+    if command == "gen-exotic gamma":  # the space file is written, its Gamma table is not
+        out = tmp_path / "x.json"
+        (tmp_path / "x.json.gamma.json").mkdir()
+    if command == "norm":
+        args = ["norm", "--input", str(space), "--functional", str(phi)]
+    else:
+        args = ["gen-exotic", "--N", "8"]
+    assert cli.main([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "WriteError" and error["message"].startswith(f"cannot write {out.parent}")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_overflowing_distance_reports_one_json_error(tmp_path):
     n = 66  # above the exact-mode limit, so the space is validated in floats
     dist = [[0 if i == j else 1 for j in range(n)] for i in range(n)]

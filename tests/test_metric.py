@@ -261,6 +261,14 @@ def test_with_mode_to_float_matches_per_cell(mult, dtype, fast):
         assert scale == ref_scale and grid.dtype == ref.dtype and grid.tolist() == ref.tolist()
 
 
+def test_with_mode_keeps_the_tolerance():
+    sp = validate_metric(random_space(5, 0).dist, tol=1e-6)
+    fsp = sp.with_mode(exact=False)
+    assert sp.exact and not fsp.exact and fsp.tol == 1e-6
+    esp = fsp.with_mode(exact=True)
+    assert esp.exact and esp.tol == 1e-6
+
+
 def test_worst_pair_separation_matches_bruteforce():
     for sp, vectors in _kernel_cases():
         for k in range(1, len(vectors) + 1):
