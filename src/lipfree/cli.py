@@ -24,7 +24,7 @@ from .errors import Error, InternalError
 from .exotic import exotic_metric, gamma_pairs
 from .monotonicity import check_cyclically_monotone
 from .numerics import DEFAULT_TOLERANCE
-from .transport import molecule_decomposition, optimal_coupling
+from .transport import optimal_coupling
 
 log = logging.getLogger("lipfree")
 
@@ -54,13 +54,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exact", action="store_true",
                        help="force exact rational arithmetic")
         p.add_argument("--out", help="write the result here instead of stdout")
+        return p
 
-    for name in ("norm", "coupling", "potential", "decompose"):
-        common(sub.add_parser(name), functional=True)
-    common(sub.add_parser("check-monotone"), pairs=True)
+    # keys: the keys of io.transport_doc the command prints, in order; None
+    # prints them all, and decompose prints a document of its own.
+    for name, keys in (("norm", ("value", "value_exact")), ("coupling", None),
+                       ("potential", ("value", "potential", "value_exact")), ("decompose", None)):
+        common(sub.add_parser(name), functional=True).set_defaults(run=_cmd_transport, keys=keys)
+    common(sub.add_parser("check-monotone"), pairs=True).set_defaults(run=_cmd_check_monotone)
 
-    p_embed = sub.add_parser("embed")
-    common(p_embed)
+    p_embed = common(sub.add_parser("embed"))
+    p_embed.set_defaults(run=_cmd_embed)
     p_embed.add_argument("--dim", type=int, default=None,
                          help="coordinate count for the local search "
                          "(omit for the isometric per-point family)")
@@ -71,10 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--N", type=int, required=True, help="number of points")
     p_gen.add_argument("--out", help="output path (.csv for CSV, else JSON); "
                        "a Gamma table is written next to it")
+    p_gen.set_defaults(run=_cmd_gen_exotic)
 
     p_self = sub.add_parser("selftest")
     p_self.add_argument("--iters", type=int, default=None,
                         help="cap instance counts per criterion (default: full scale)")
+    p_self.set_defaults(run=_cmd_selftest)
 
     return parser
 
@@ -93,37 +99,20 @@ def _load_space(args):
     return lfio.load_space(args.input, exact=exact, tol=args.tolerance)
 
 
-#: The keys of ``io.transport_doc`` each transport command prints, in order;
-#: None prints them all.
-_TRANSPORT_KEYS = {
-    "norm": ("value", "value_exact"),
-    "coupling": None,
-    "potential": ("value", "potential", "value_exact"),
-}
-
-
 def _cmd_transport(args) -> int:
+    """norm, coupling, potential and decompose: four views of one solve."""
     space = _load_space(args)
     phi = lfio.load_functional(args.functional, space)
-    doc = lfio.transport_doc(optimal_coupling(phi, space), space)
-    keys = _TRANSPORT_KEYS[args.command]
-    if keys is not None:
-        doc = {k: doc[k] for k in keys if k in doc}
-    _emit(lfio.dumps(doc), args.out)
-    return EXIT_OK
-
-
-def _cmd_decompose(args) -> int:
-    space = _load_space(args)
-    phi = lfio.load_functional(args.functional, space)
-    terms = molecule_decomposition(phi, space)
-    doc = {
-        "value": lfio.jsonable_number(sum((c for c, _ in terms), start=0)),
-        "molecules": [
-            [space.labels[m.x], space.labels[m.y], lfio.jsonable_number(c)]
-            for c, m in terms
-        ],
-    }
+    result = optimal_coupling(phi, space)
+    if args.command == "decompose":  # molecules read off the optimal representation
+        mass = result.representation.mass
+        doc = {
+            "value": lfio.jsonable_number(sum((mass[p] for p in sorted(mass)), start=0)),
+            "molecules": lfio.measure_doc(result.representation, space),
+        }
+    else:
+        doc = lfio.transport_doc(result, space)
+        doc = {k: doc[k] for k in args.keys or doc if k in doc}
     _emit(lfio.dumps(doc), args.out)
     return EXIT_OK
 
@@ -159,21 +148,27 @@ def _cmd_embed(args) -> int:
 def _cmd_gen_exotic(args) -> int:
     em = exotic_metric(args.N)
     space = em.as_space()
-    if args.out and args.out.endswith(".csv"):
-        _emit(lfio.space_csv(space), args.out)
-    else:
-        _emit(lfio.space_json(space), args.out)
-    if args.out:
-        gamma_path = args.out + ".gamma.json"
-        table = {}
-        n = 1
-        while True:
-            pairs = sorted(gamma_pairs(em.family, n, em.family.horizon))
-            if not pairs and n > 4:
-                break
-            table[str(n)] = [[k, p] for k, p in pairs]
-            n += 1
-        lfio.write_text(gamma_path, lfio.dumps({"horizon": em.family.horizon, "gamma": table}))
+    text = lfio.space_csv(space) if args.out and args.out.endswith(".csv") else lfio.space_json(space)
+    if not args.out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    table = {}
+    n = 1
+    while True:
+        pairs = sorted(gamma_pairs(em.family, n, em.family.horizon))
+        if not pairs and n > 4:
+            break
+        table[str(n)] = [[k, p] for k, p in pairs]
+        n += 1
+    gamma = lfio.dumps({"horizon": em.family.horizon, "gamma": table})
+    # Both files or neither: a Gamma table that cannot be written takes the
+    # space file written just before it away again.
+    lfio.write_text(args.out, text)
+    try:
+        lfio.write_text(args.out + ".gamma.json", gamma)
+    except lfio.WriteError:
+        os.remove(args.out)
+        raise
     return EXIT_OK
 
 
@@ -186,18 +181,6 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if not failed else EXIT_NEGATIVE
 
 
-_DISPATCH = {
-    "norm": _cmd_transport,
-    "coupling": _cmd_transport,
-    "potential": _cmd_transport,
-    "decompose": _cmd_decompose,
-    "check-monotone": _cmd_check_monotone,
-    "embed": _cmd_embed,
-    "gen-exotic": _cmd_gen_exotic,
-    "selftest": _cmd_selftest,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         # basicConfig skips its own level check once the root logger has a
@@ -208,7 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         logging.basicConfig(level=level)
         args = _build_parser().parse_args(argv)
         log.info("running %s", args.command)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except Error as exc:
         sys.stderr.write(lfio.dumps({"error": exc.payload()}))
         return EXIT_INTERNAL_ERROR if isinstance(exc, InternalError) else EXIT_INPUT_ERROR

@@ -145,9 +145,10 @@ def _envelope_midpoint(v: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _project_unit_ball(
-    v: np.ndarray, d: np.ndarray, pairs: Tuple[np.ndarray, np.ndarray, np.ndarray], rounds: int = 25
+    v: np.ndarray, d: np.ndarray, pairs: Tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Pull a vector into the 1-Lipschitz cone, then pin the base point.
+    """Pull a vector into the 1-Lipschitz cone in at most 25 envelope rounds,
+    then pin the base point.
 
     ``pairs`` holds the pairs i < j and their distances ``d[i, j]``.
     """
@@ -156,7 +157,7 @@ def _project_unit_ball(
     def lip(v):
         return _ratio_extreme(np.abs(v[i] - v[j]), dij, largest=True) if dij.size else 0.0
 
-    for _ in range(rounds):
+    for _ in range(25):
         value = lip(v)
         if value <= 1.0 + 1e-12:
             break

@@ -34,22 +34,18 @@ def random_space(
     return validate_metric([[Fraction(int(v), 12) for v in row] for row in w], exact=exact)
 
 
-def line_space(positions: Sequence, *, exact: bool = True) -> FiniteMetricSpace:
-    """Points on the real line; position 0 first (the base point)."""
+def line_space(positions: Sequence) -> FiniteMetricSpace:
+    """Exact points on the real line; position 0 first (the base point)."""
     pos = [Fraction(p) for p in positions]
     rows = [[abs(a - b) for b in pos] for a in pos]
-    return validate_metric(rows, exact=exact)
+    return validate_metric(rows, exact=True)
 
 
-def star_space(leaves: int, radius=1, *, exact: bool = True) -> FiniteMetricSpace:
-    """A center (the base point) with the given number of equidistant leaves."""
-    r = Fraction(radius)
+def star_space(leaves: int) -> FiniteMetricSpace:
+    """An exact center (the base point) with leaves at distance 1, so 2 apart."""
     n = leaves + 1
-    rows = [
-        [Fraction(0) if i == j else (r if 0 in (i, j) else 2 * r) for j in range(n)]
-        for i in range(n)
-    ]
-    return validate_metric(rows, exact=exact)
+    rows = [[0 if i == j else (1 if 0 in (i, j) else 2) for j in range(n)] for i in range(n)]
+    return validate_metric(rows, exact=True)
 
 
 def random_functional(
@@ -57,14 +53,13 @@ def random_functional(
     seed: int,
     *,
     max_support: Optional[int] = None,
-    allow_zero: bool = False,
 ) -> Functional:
     """Random signed combination of point evaluations with small rational
     coefficients; never supported at the base point."""
     rng = random.Random(seed)
     points = [i for i in space.points if i != 0]
     cap = len(points) if max_support is None else min(max_support, len(points))
-    size = rng.randint(0 if allow_zero else 1, cap)
+    size = rng.randint(1, cap)
     support = rng.sample(points, size)
     coeffs = {}
     for i in support:
@@ -74,11 +69,11 @@ def random_functional(
     return Functional(coeffs, space)
 
 
-def random_potential(space: FiniteMetricSpace, seed: int, spread: int = 8) -> LipschitzPotential:
+def random_potential(space: FiniteMetricSpace, seed: int) -> LipschitzPotential:
     """Random potential (no Lipschitz normalization), zero at the base."""
     rng = random.Random(seed)
     vals = [Fraction(0)] + [
-        Fraction(rng.randint(-spread, spread), rng.choice([1, 2, 4]))
+        Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4]))
         for _ in range(space.n - 1)
     ]
     return LipschitzPotential.build(vals, space)
@@ -97,12 +92,10 @@ def random_pair_set(space: FiniteMetricSpace, seed: int, size: int) -> PairSet:
     return PairSet.of(pairs, space)
 
 
-def monotone_pair_set(
-    space: FiniteMetricSpace, seed: int, *, max_support: Optional[int] = None
-) -> PairSet:
+def monotone_pair_set(space: FiniteMetricSpace, seed: int) -> PairSet:
     """Support of an emitted optimal coupling: cyclically monotone by the
     optimality criterion (independently certified in the test suite)."""
-    phi = random_functional(space, seed, max_support=max_support)
+    phi = random_functional(space, seed)
     support = optimal_coupling(phi, space).coupling.support
     if not support:
         return PairSet.of([(1, 0)], space)

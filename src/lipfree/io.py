@@ -105,7 +105,8 @@ def load_space(
     """Load a metric space from JSON or CSV (by extension) and validate it."""
     is_csv = path.endswith(".csv")
     if is_csv:
-        rows = list(csv.reader(_stdio.StringIO(_read_text(path))))
+        # csv.reader reads a blank line as [], which is no row of the matrix.
+        rows = [row for row in csv.reader(_stdio.StringIO(_read_text(path))) if row]
         if not rows:
             raise SchemaMismatch(f"{path}: empty CSV")
         labels, dist = rows[0], rows[1:]

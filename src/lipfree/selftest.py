@@ -262,8 +262,8 @@ def _geodesic_chain(space, a: int, b: int) -> List[int]:
     return [a, b]
 
 
-def _check_support_chains(space, support, max_len: int = 5):
-    """All chained paths of support pairs up to max_len; returns
+def _check_support_chains(space, support):
+    """All chained paths of support pairs up to six points; returns
     (chains checked, misaligned chains)."""
     by_head = {}
     for x, y in support:
@@ -277,7 +277,7 @@ def _check_support_chains(space, support, max_len: int = 5):
         checked += 1
         if total != space.d(points[0], points[-1]):
             bad += 1
-        if len(points) <= max_len:
+        if len(points) <= 5:
             for nxt in by_head.get(points[-1], ()):
                 stack.append(points + [nxt[1]])
     return checked, bad
@@ -430,17 +430,6 @@ def c11_exotic(limit: Optional[int]) -> Tuple[bool, str]:
     return okay, detail
 
 
-_GOLDEN_COMMANDS = (
-    "norm",
-    "coupling",
-    "potential",
-    "decompose",
-    "check-monotone",
-    "embed",
-    "gen-exotic",
-)
-
-
 def _run_cli(args: List[str], cwd: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "lipfree", *args],
@@ -458,28 +447,13 @@ def c12_cli_golden(limit: Optional[int]) -> Tuple[bool, str]:
         space = random_space(5, seed=42)
         phi = random_functional(space, seed=43)
         space_path = os.path.join(tmp, "space.json")
-        with open(space_path, "w") as fh:
-            fh.write(lfio.space_json(space))
+        lfio.write_text(space_path, lfio.space_json(space))
         func_path = os.path.join(tmp, "phi.json")
-        with open(func_path, "w") as fh:
-            fh.write(
-                lfio.dumps(
-                    {
-                        "coeffs": {
-                            space.labels[i]: float(c)
-                            for i, c in sorted(phi.coeffs.items())
-                        }
-                    }
-                )
-            )
+        coeffs = {space.labels[i]: float(c) for i, c in sorted(phi.coeffs.items())}
+        lfio.write_text(func_path, lfio.dumps({"coeffs": coeffs}))
         pairs_path = os.path.join(tmp, "pairs.json")
-        with open(pairs_path, "w") as fh:
-            fh.write(
-                lfio.dumps(
-                    {"pairs": [[space.labels[1], space.labels[2]],
-                               [space.labels[2], space.labels[1]]]}
-                )
-            )
+        a, b = space.labels[1], space.labels[2]
+        lfio.write_text(pairs_path, lfio.dumps({"pairs": [[a, b], [b, a]]}))
         argsets = {
             "norm": ["norm", "--input", space_path, "--functional", func_path],
             "coupling": ["coupling", "--input", space_path, "--functional", func_path],
@@ -489,13 +463,13 @@ def c12_cli_golden(limit: Optional[int]) -> Tuple[bool, str]:
             "embed": ["embed", "--input", space_path, "--dim", "2", "--iters", "40", "--seed", "7"],
             "gen-exotic": ["gen-exotic", "--N", "32"],
         }
-        for cmd in _GOLDEN_COMMANDS:
-            first = _run_cli(argsets[cmd], tmp)
-            second = _run_cli(argsets[cmd], tmp)
+        for cmd, argv in argsets.items():
+            first = _run_cli(argv, tmp)
+            second = _run_cli(argv, tmp)
             if first.stdout != second.stdout or first.returncode != second.returncode:
                 failures.append(cmd)
     ok = not failures
-    return ok, f"{len(_GOLDEN_COMMANDS)} commands" + (
+    return ok, f"{len(argsets)} commands" + (
         f"; nondeterministic: {failures}" if failures else ""
     )
 

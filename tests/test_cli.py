@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lipfree import cli
+from lipfree import cli, selftest
 from lipfree import io as lfio
 from lipfree.errors import InternalError
 from lipfree.instances import random_space
@@ -206,7 +206,7 @@ def test_tolerance_outside_zero_to_inf_is_input_error(capsys, line_files, tolera
 def test_unwritable_out_is_input_error(capsys, tmp_path, line_files, command):
     space, phi = line_files
     out = tmp_path / "missing" / "x.json"
-    if command == "gen-exotic gamma":  # the space file is written, its Gamma table is not
+    if command == "gen-exotic gamma":  # the space file could be written, its Gamma table cannot
         out = tmp_path / "x.json"
         (tmp_path / "x.json.gamma.json").mkdir()
     if command == "norm":
@@ -219,6 +219,7 @@ def test_unwritable_out_is_input_error(capsys, tmp_path, line_files, command):
     error = json.loads(captured.err)["error"]
     assert error["type"] == "WriteError" and error["message"].startswith(f"cannot write {out.parent}")
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "x.json").exists()  # a failed gen-exotic writes neither file
 
 
 def test_overflowing_distance_reports_one_json_error(tmp_path):
@@ -310,6 +311,31 @@ def test_byte_determinism_norm_and_embed(line_files):
     a = run_cli("embed", "--input", str(space), "--dim", "2", "--iters", "30", "--seed", "5")
     b = run_cli("embed", "--input", str(space), "--dim", "2", "--iters", "30", "--seed", "5")
     assert a.stdout == b.stdout
+
+
+def _subcommands():
+    return next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+
+
+def test_every_subcommand_carries_its_handler():
+    for name, sub in _subcommands().items():
+        required = [[a.option_strings[0], "1"] for a in sub._actions if a.required]
+        args = cli._build_parser().parse_args([name, *sum(required, [])])
+        assert args.command == name and callable(args.run), name
+
+
+def test_c12_runs_every_command_but_selftest_twice(monkeypatch):
+    calls = []
+
+    def fake_run(argv, cwd):
+        calls.append(argv[0])
+        return subprocess.CompletedProcess(argv, 0, stdout=b"{}\n", stderr=b"")
+
+    monkeypatch.setattr(selftest, "_run_cli", fake_run)
+    result = selftest.c12_cli_golden()
+    assert result.passed, result.detail
+    commands = [name for name in _subcommands() if name != "selftest"]
+    assert sorted(calls) == sorted(commands * 2)
 
 
 def test_selftest_quick_deterministic():

@@ -42,6 +42,23 @@ def test_load_space_csv(tmp_path):
     assert sp.labels == ("0", "x", "y") and sp.d(0, 2) == 2
 
 
+@pytest.mark.parametrize("data", [b"a,b\n0,1\n1,0\n\n", b"a,b\r\n\r\n0,1\r\n1,0\r\n"],
+                         ids=["trailing blank line", "CRLF with a blank line"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_csv_blank_lines_are_skipped(tmp_path, data, exact):
+    p, plain = tmp_path / "s.csv", tmp_path / "plain.csv"
+    p.write_bytes(data)
+    plain.write_bytes(b"a,b\n0,1\n1,0\n")
+    assert lfio.load_space(str(p), exact=exact) == lfio.load_space(str(plain), exact=exact)
+
+
+def test_csv_of_blank_lines_is_empty(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("\n\n")
+    with pytest.raises(lfio.SchemaMismatch, match="empty CSV"):
+        lfio.load_space(str(p))
+
+
 def test_schema_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"labels": ["0", "x"]}))
