@@ -190,6 +190,8 @@ def best_embedding_search(
     """
     if n < 1:
         raise ValueError("need at least one coordinate")
+    if iterations < 1:
+        raise ValueError("need at least one iteration")
     fspace = space if not space.exact else space.with_mode(exact=False)
     m = fspace.n
     d, _ = fspace.grid

@@ -50,6 +50,7 @@ from .errors import Error
 from .metric import (
     FiniteMetricSpace,
     Functional,
+    InvalidPair,
     LipschitzPotential,
     _distinct,
     _float_array,
@@ -198,7 +199,7 @@ def load_pair_set(path: str, space: FiniteMetricSpace) -> PairSet:
             raise SchemaMismatch(f"{path}: {exc.args[0]}") from exc
     try:
         return PairSet.of(pairs, space)
-    except ValueError as exc:
+    except InvalidPair as exc:
         raise SchemaMismatch(f"{path}: {exc}") from exc
 
 

@@ -72,6 +72,18 @@ class TriangleViolation(MetricError):
         super().__init__(f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}]", (i, j, k))
 
 
+class InvalidPair(Error, ValueError):
+    """A pair (x, y) on the diagonal or naming a point outside the space."""
+
+
+def check_pair(x: int, y: int, n: int | None = None) -> None:
+    """Raise ``InvalidPair`` if x == y or, given n, either point is outside range(n)."""
+    if x == y:
+        raise InvalidPair(f"pair ({x},{y}) lies on the diagonal")
+    if n is not None and not (0 <= x < n and 0 <= y < n):
+        raise InvalidPair(f"pair ({x},{y}) out of range")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """Point set with base point (index 0) and validated distance matrix.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import Error, InternalError
-from .metric import FiniteMetricSpace, LipschitzPotential, _pinned_envelope
+from .metric import FiniteMetricSpace, LipschitzPotential, _pinned_envelope, check_pair
 from .numerics import Number, coerce
 
 Pair = Tuple[int, int]
@@ -63,10 +63,7 @@ class PairSet:
     def of(cls, pairs: Sequence[Pair], space: FiniteMetricSpace) -> "PairSet":
         out = []
         for x, y in pairs:
-            if x == y:
-                raise ValueError(f"pair ({x},{y}) lies on the diagonal")
-            if not (0 <= x < space.n and 0 <= y < space.n):
-                raise ValueError(f"pair ({x},{y}) out of range")
+            check_pair(x, y, space.n)
             out.append((x, y))
         return cls(tuple(out))
 

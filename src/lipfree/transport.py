@@ -33,6 +33,7 @@ from .metric import (
     LipschitzPotential,
     Molecule,
     _pinned_envelope,
+    check_pair,
     functionals_equal,
 )
 from .numerics import Number, coerce
@@ -62,11 +63,10 @@ class PairMeasure:
     def __init__(self, mass: Mapping[Pair, Number], space: FiniteMetricSpace | None = None):
         clean: Dict[Pair, Number] = {}
         for (x, y), m in mass.items():
-            if x == y:
-                raise ValueError(f"pair ({x},{y}) lies on the diagonal")
-            if space is not None:
-                if not (0 <= x < space.n and 0 <= y < space.n):
-                    raise ValueError(f"pair ({x},{y}) out of range")
+            if space is None:
+                check_pair(x, y)
+            else:
+                check_pair(x, y, space.n)
                 m = coerce(m, space.exact)
             if m == 0:
                 continue

@@ -202,6 +202,27 @@ def test_tolerance_outside_zero_to_inf_is_input_error(capsys, line_files, tolera
     assert error["type"] == "ValueError" and error["message"].startswith("--tolerance ")
 
 
+def test_diagonal_pair_is_schema_error(capsys, tmp_path, line_files):
+    space, _ = line_files
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": [["a", "b"], ["b", "b"]]}))
+    assert cli.main(["check-monotone", "--input", str(space), "--pairs", str(pairs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "SchemaMismatch", "message": f"{pairs}: pair (2,2) lies on the diagonal",
+    }
+
+
+@pytest.mark.parametrize("iters", ["0", "-5"])
+def test_embed_iters_below_one_is_input_error(capsys, line_files, iters):
+    space, _ = line_files
+    assert cli.main(["embed", "--input", str(space), "--dim", "1", "--iters", iters]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": "need at least one iteration"}
+
+
 @pytest.mark.parametrize("command", ["norm", "gen-exotic", "gen-exotic gamma"])
 def test_unwritable_out_is_input_error(capsys, tmp_path, line_files, command):
     space, phi = line_files

@@ -141,3 +141,9 @@ def test_search_separates_when_every_restart_ends_at_zero():
     # which no one-value move can lift, so all of them end at objective 0.
     rep = best_embedding_search(1, random_space(10, 8), iterations=40, seed=3)
     assert rep.objective > 0 and rep.lip_hinv is not None
+
+
+@pytest.mark.parametrize("iterations", [0, -5])
+def test_search_rejects_fewer_than_one_iteration(iterations):
+    with pytest.raises(ValueError, match="at least one iteration"):
+        best_embedding_search(1, random_space(5, 2), iterations=iterations, seed=0)

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+import lipfree
 from lipfree import (
     EmptySet,
+    InvalidPair,
     LipschitzPotential,
     NotMonotone,
+    PairMeasure,
     PairSet,
     TooLarge,
     brute_force_monotone,
@@ -25,6 +28,28 @@ from lipfree.instances import (
     random_space,
 )
 from lipfree.monotonicity import FLOAT_CYCLE_EPS
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((1, 1), "pair (1,1) lies on the diagonal"),
+        ((0, 3), "pair (0,3) out of range"),
+        ((-1, 2), "pair (-1,2) out of range"),
+    ],
+)
+def test_pair_sets_and_measures_share_one_pair_check(pair, message):
+    space = line_space([0, 1, 2])
+    for make in (lambda: PairSet.of([(0, 1), pair], space), lambda: PairMeasure({pair: 1}, space)):
+        with pytest.raises(lipfree.Error) as caught:
+            make()
+        assert type(caught.value) is InvalidPair and str(caught.value) == message
+        assert isinstance(caught.value, ValueError)
+    if pair[0] == pair[1]:  # without a space only the diagonal is checked
+        with pytest.raises(InvalidPair):
+            PairMeasure({pair: 1})
+    else:
+        assert PairMeasure({pair: 1}).mass == {pair: 1}
 
 
 def test_pair_graph_two_cycle_weight():
