@@ -115,7 +115,7 @@ def _report_from_values(
 
     zero = coerce(0, space.exact)
     lip_h_out = coerce(1, space.exact) if lip_h > 0 else zero
-    objective = alpha_objective(functions, space) if space.n > 1 else zero
+    objective = alpha_objective(functions, space)
     if objective == 0:  # the coordinates fail to separate some pair
         return EmbeddingReport(functions, lip_h_out, None, None, zero)
     lip_hinv = 1 / objective
@@ -155,7 +155,7 @@ def _project_unit_ball(
     i, j, dij = pairs
 
     def lip(v):
-        return _ratio_extreme(np.abs(v[i] - v[j]), dij, largest=True) if dij.size else 0.0
+        return _ratio_extreme(np.abs(v[i] - v[j]), dij, largest=True)
 
     for _ in range(25):
         value = lip(v)
@@ -192,6 +192,8 @@ def best_embedding_search(
         raise ValueError("need at least one coordinate")
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    if space.n < 2:
+        raise ValueError("need at least two points to embed")
     fspace = space if not space.exact else space.with_mode(exact=False)
     m = fspace.n
     d, _ = fspace.grid
@@ -213,7 +215,7 @@ def best_embedding_search(
     starts[0] += [np.zeros(m)] * (n - len(starts[0]))
     n_restarts = 4
     for _ in range(n_restarts - 1):
-        if m > 1 and rng.random() < 0.5:
+        if rng.random() < 0.5:
             picks = rng.sample(range(m), k=min(n, m))
             fam = list(frechet_rows[picks])
         else:
@@ -225,7 +227,7 @@ def best_embedding_search(
     per_restart = max(1, iterations // len(starts))
 
     def objective(fam: np.ndarray) -> float:
-        return _ratio_extreme(_pair_spread(fam, i, j), dij, largest=False) if m > 1 else 1.0
+        return _ratio_extreme(_pair_spread(fam, i, j), dij, largest=False)
 
     def climb(fam: List[np.ndarray]) -> None:
         nonlocal best_rows, best_val
@@ -233,7 +235,7 @@ def best_embedding_search(
         val = objective(fam)
         for _ in range(per_restart):
             k = rng.randrange(n)
-            x = rng.randrange(1, m) if m > 1 else 0
+            x = rng.randrange(1, m)
             delta = rng.uniform(-0.5, 0.5) * scale
             row = fam[k].copy()
             row[x] += delta

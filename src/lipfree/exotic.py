@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .metric import FiniteMetricSpace, _grid_of, validate_grid
-from .numerics import EXACT_SIZE_LIMIT
+from .numerics import exact_mode
 
 
 @dataclass
@@ -172,8 +172,7 @@ class ExoticMetric:
         """The metric as a validated space: 0, 1/2 and the enumerated
         rationals indexed by slot, every pair (2p, 2q+1) in one assignment."""
         N = self.N
-        if exact is None:
-            exact = N <= EXACT_SIZE_LIMIT
+        exact = exact_mode(N, exact)
         where = np.ones((N, N), dtype=np.intp)  # values[1] = 1/2
         np.fill_diagonal(where, 0)
         # Row and column 0 of the slot table are empty, so p and q are the

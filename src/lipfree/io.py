@@ -60,7 +60,7 @@ from .metric import (
     validate_metric,  # noqa: F401 (benchmarks/tracing.py wraps lipfree.io.validate_metric)
 )
 from .monotonicity import CycleCertificate, PairSet
-from .numerics import DEFAULT_TOLERANCE, EXACT_SIZE_LIMIT, Number, coerce, exact_repr, round12
+from .numerics import DEFAULT_TOLERANCE, Number, coerce, exact_mode, exact_repr, round12
 from .transport import PairMeasure, TransportResult
 
 
@@ -118,8 +118,7 @@ def load_space(
         labels, dist = doc["labels"], doc["dist"]
         if not isinstance(labels, list) or not isinstance(dist, list):
             raise SchemaMismatch(f"{path}: labels and dist must be arrays")
-    if exact is None:
-        exact = len(dist) <= EXACT_SIZE_LIMIT
+    exact = exact_mode(len(dist), exact)
     try:
         types = {str} if is_csv else set(map(type, itertools.chain.from_iterable(dist)))
         plain = not (is_csv or exact) and types <= {int, float}

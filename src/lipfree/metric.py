@@ -17,13 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import Error
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    EXACT_SIZE_LIMIT,
-    Comparator,
-    Number,
-    coerce,
-)
+from .numerics import DEFAULT_TOLERANCE, Comparator, Number, coerce, exact_mode
 
 
 class MetricError(Error):
@@ -144,7 +138,12 @@ class FiniteMetricSpace:
     def with_mode(self, exact: bool) -> "FiniteMetricSpace":
         """Same space, tolerance included, with its numbers converted to the
         other arithmetic mode, each distinct distance once, as ``coerce``
-        converts it (an exact one to float by correctly rounded int division)."""
+        converts it (an exact one to float by correctly rounded int division).
+
+        The converted space is not validated again.  Float to exact reads
+        each rounded float as its decimal literal, and those rationals can
+        break a triangle: for most float ``random_space`` instances the
+        result fails ``validate_grid(exact=True)`` with ``TriangleViolation``."""
         a, scale = self.grid
         values, where = _distinct(a, self.exact)
         if self.exact:
@@ -171,8 +170,7 @@ def validate_metric(
     """
     labels = matrix_labels(raw, labels)
     n = len(raw)
-    if exact is None:
-        exact = n <= EXACT_SIZE_LIMIT
+    exact = exact_mode(n, exact)
     if exact:  # cell by cell: a table of distinct Fractions costs more in hashing than it saves
         a, scale = _grid_of([v for row in raw for v in row], np.arange(n * n).reshape(n, n), True)
     else:

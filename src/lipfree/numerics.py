@@ -22,6 +22,11 @@ DEFAULT_TOLERANCE = 1e-9
 EXACT_SIZE_LIMIT = 64
 
 
+def exact_mode(n: int, exact: bool | None = None) -> bool:
+    """``exact`` if given, else whether an n-point space is small enough for exact mode."""
+    return n <= EXACT_SIZE_LIMIT if exact is None else exact
+
+
 def coerce(value: Number, exact: bool) -> Number:
     """Normalize one number for the requested arithmetic mode."""
     if exact:

@@ -166,13 +166,9 @@ class TransportResult:
 
 def _balanced_sides(phi: Functional, space: FiniteMetricSpace):
     """Split phi into supplies and demands, absorbing imbalance at the base."""
-    sources: Dict[int, Number] = {}
-    sinks: Dict[int, Number] = {}
-    for i, c in phi.coeffs.items():
-        if c > 0:
-            sources[i] = c
-        else:
-            sinks[i] = -c
+    coeffs = phi.coeffs
+    sources = {i: c for i, c in coeffs.items() if c > 0}
+    sinks = {i: -c for i, c in coeffs.items() if i not in sources}
     imbalance = phi.total()
     if imbalance > 0:
         sinks[0] = imbalance
@@ -189,6 +185,9 @@ def _solve_min_cost(
     Sources are drained in increasing point order and ties among nearest
     sinks break toward the lowest index, so outputs are deterministic.
     Returns the flow and the final node potentials.
+
+    ``left`` is the one residual table of supply and demand still to route;
+    the sides share no point, as the base point takes only the imbalance.
 
     Each augmentation runs Dijkstra from the first source with supply left
     over the reduced costs ``cost + pot[u] - pot[v]``.  Every arc costs
@@ -212,24 +211,17 @@ def _solve_min_cost(
     zero = coerce(0, space.exact)
     src = sorted(sources)
     snk = sorted(sinks)
-    remaining_sup = dict(sources)
-    remaining_dem = dict(sinks)
+    left = {**sources, **sinks}
     flow: Dict[Pair, Number] = {}
     pot: Dict[int, Number] = {v: zero for v in src + snk}
-    is_source = set(src)
     carriers: Dict[int, Set[int]] = {t: set() for t in snk}
     rows = space.dist
     clamp = not space.exact  # float round-off guard; exact mode never needs it
-    if space.exact:
-        eps_active = 0
-    else:
-        # Float totals can disagree by a few ulps; a node is saturated once
-        # its residue drops below this threshold.
-        scale = max(list(sources.values()) + list(sinks.values()))
-        eps_active = 1e-12 * (1.0 + float(scale))
+    # Float totals can disagree by a few ulps: a residue below this is spent.
+    eps_active = 0 if space.exact else 1e-12 * (1.0 + float(max(left.values())))
 
     while True:
-        s0 = next((s for s in src if remaining_sup[s] > eps_active), None)
+        s0 = next((s for s in src if left[s] > eps_active), None)
         if s0 is None:
             break
 
@@ -247,11 +239,11 @@ def _solve_min_cost(
                 continue
             done.add(u)
             pu = pot[u]
-            if u in is_source:
+            if u in sources:
                 row = rows[u]
                 arcs = [(t, row[t]) for t in snk if t not in done]
             else:
-                if remaining_dem[u] > eps_active and (best is None or (du, u) < best):
+                if left[u] > eps_active and (best is None or (du, u) < best):
                     best = (du, u)
                 arcs = [(s, -rows[s][u]) for s in carriers[u] if s not in done]
             for v, cost in arcs:
@@ -276,12 +268,12 @@ def _solve_min_cost(
             path.append((u, v))
             v = u
         path.reverse()
-        amount = min(remaining_sup[s0], remaining_dem[t0])
+        amount = min(left[s0], left[t0])
         for u, v in path:
-            if u not in is_source:  # backward arc (sink u -> source v) carries flow (v, u)
+            if u not in sources:  # backward arc (sink u -> source v) carries flow (v, u)
                 amount = min(amount, flow[(v, u)])
         for u, v in path:
-            if u in is_source:
+            if u in sources:
                 flow[(u, v)] = flow.get((u, v), zero) + amount
                 carriers[v].add(u)
             else:
@@ -289,8 +281,8 @@ def _solve_min_cost(
                 if flow[(v, u)] == 0:
                     del flow[(v, u)]
                     carriers[u].discard(v)
-        remaining_sup[s0] -= amount
-        remaining_dem[t0] -= amount
+        left[s0] -= amount
+        left[t0] -= amount
 
         for v in pot:
             pot[v] = pot[v] + (dist[v] if v in done else cap)
@@ -314,13 +306,12 @@ def optimal_coupling(phi: Functional, space: FiniteMetricSpace) -> TransportResu
         len(sources), len(sinks), space.n,
     )
     flow, pot = _solve_min_cost(sources, sinks, space)
-    cost = sum((m * space.d(x, y) for (x, y), m in flow.items()), start=0)
-    coupling = PairMeasure(flow)
+    # Flows stay positive: the total variation is the coupling cost, in the same order.
     representation = PairMeasure({p: m * space.d(*p) for p, m in flow.items()})
     # f(z) = max over sources x of (u(x) - d(x, z)), pinned at the base point.
     src = sorted(sources)
     potential = _pinned_envelope(src, [-pot[s] for s in src], space)
-    return TransportResult(cost, coupling, representation, potential)
+    return TransportResult(representation.total_variation(), PairMeasure(flow), representation, potential)
 
 
 def free_norm(phi: Functional, space: FiniteMetricSpace) -> Number:

@@ -223,6 +223,16 @@ def test_embed_iters_below_one_is_input_error(capsys, line_files, iters):
     assert json.loads(err)["error"] == {"type": "ValueError", "message": "need at least one iteration"}
 
 
+@pytest.mark.parametrize("dim", [[], ["--dim", "1"], ["--dim", "3"]])
+def test_embed_one_point_space_is_input_error(capsys, tmp_path, dim):
+    space = tmp_path / "point.json"
+    space.write_text(json.dumps({"labels": ["0"], "dist": [[0]]}))
+    assert cli.main(["embed", "--input", str(space), *dim]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": "need at least two points to embed"}
+
+
 @pytest.mark.parametrize("command", ["norm", "gen-exotic", "gen-exotic gamma"])
 def test_unwritable_out_is_input_error(capsys, tmp_path, line_files, command):
     space, phi = line_files

@@ -147,3 +147,12 @@ def test_search_separates_when_every_restart_ends_at_zero():
 def test_search_rejects_fewer_than_one_iteration(iterations):
     with pytest.raises(ValueError, match="at least one iteration"):
         best_embedding_search(1, random_space(5, 2), iterations=iterations, seed=0)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_search_rejects_a_one_point_space(exact):
+    # The same error as frechet_embedding, not a report with objective 0.
+    space = validate_metric([[0]], exact=exact)
+    for embed in (frechet_embedding, lambda sp: best_embedding_search(2, sp, seed=0)):
+        with pytest.raises(ValueError, match="need at least two points to embed"):
+            embed(space)
