@@ -109,17 +109,16 @@ def _report_from_values(
     """Normalize a family to combined Lipschitz constant 1 and measure it."""
     functions = tuple(LipschitzPotential.build(row, space) for row in rows)
     lip_h = max(f.lip for f in functions)
-    if lip_h > 0 and lip_h != 1:
+    if lip_h != 1:
         rows = [[v / lip_h for v in f.values] for f in functions]
         functions = tuple(LipschitzPotential.build(row, space) for row in rows)
 
-    zero = coerce(0, space.exact)
-    lip_h_out = coerce(1, space.exact) if lip_h > 0 else zero
+    one = coerce(1, space.exact)
     objective = alpha_objective(functions, space)
     if objective == 0:  # the coordinates fail to separate some pair
-        return EmbeddingReport(functions, lip_h_out, None, None, zero)
+        return EmbeddingReport(functions, one, None, None, objective)
     lip_hinv = 1 / objective
-    return EmbeddingReport(functions, lip_h_out, lip_hinv, lip_h_out * lip_hinv, objective)
+    return EmbeddingReport(functions, one, lip_hinv, lip_hinv, objective)
 
 
 def frechet_embedding(space: FiniteMetricSpace) -> EmbeddingReport:
@@ -201,7 +200,7 @@ def best_embedding_search(
     dij = d[i, j]
     pairs = i, j, dij
     rng = random.Random(seed)
-    scale = float(d[:, 0].max()) or 1.0
+    scale = float(d[:, 0].max())
 
     frechet_rows = (d - d[0]).T  # row j: d(x, j) - d(0, j)
 

@@ -96,10 +96,7 @@ def monotone_pair_set(space: FiniteMetricSpace, seed: int) -> PairSet:
     """Support of an emitted optimal coupling: cyclically monotone by the
     optimality criterion (independently certified in the test suite)."""
     phi = random_functional(space, seed)
-    support = optimal_coupling(phi, space).coupling.support
-    if not support:
-        return PairSet.of([(1, 0)], space)
-    return PairSet.of(support, space)
+    return PairSet.of(optimal_coupling(phi, space).coupling.support, space)
 
 
 def random_pair_measure(

@@ -351,7 +351,9 @@ def _on_lattice(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Value rows and the distance matrix as arrays over one scale.
 
-    Exact mode: both as integers of one dtype, times the returned scale.
+    Exact mode: both as integers (int64, or Python ints where a sum could
+    overflow), times the returned scale; numpy computes a mix of the two
+    on Python ints.
     Float mode: float64 as given, scale 1.
     """
     d, scale = space.grid
@@ -359,10 +361,8 @@ def _on_lattice(
         return np.array(rows, dtype=float), d, 1
     v, common = _lattice([[coerce(x, True) for x in row] for row in rows], scale)
     if common != scale:
-        k = common // scale  # a zero-only grid takes the dtype of k
-        d = d.astype(_int_dtype(k * max(1, int(np.abs(d).max())))) * k
-    if v.dtype != d.dtype:
-        v, d = v.astype(object), d.astype(object)
+        k = common // scale
+        d = d.astype(_int_dtype(k * int(np.abs(d).max()))) * k
     return v, d, common
 
 

@@ -1,10 +1,10 @@
 """Dual-mode arithmetic: exact rationals or tolerance-gated 64-bit floats.
 
-Every order/equality decision in the library is routed through a
-:class:`Comparator` so that certification runs (exact mode) are bit-exact
-while float runs use a single absolute tolerance.  Exact mode represents
-all quantities as :class:`fractions.Fraction`; float inputs are read with
-decimal-literal semantics (``0.1`` means ``1/10``).
+Exact mode represents all quantities as :class:`fractions.Fraction`
+(and integer lattices), so its answers are bit-exact; float inputs are
+read with decimal-literal semantics (``0.1`` means ``1/10``).  Certificate
+checks compare through a :class:`Comparator`, which adds a single absolute
+tolerance in float mode and none in exact mode.
 """
 
 from __future__ import annotations
@@ -55,24 +55,18 @@ class Comparator:
     exact: bool = True
     tol: float = DEFAULT_TOLERANCE
 
-    def eq(self, a: Number, b: Number = 0) -> bool:
+    def eq(self, a: Number, b: Number) -> bool:
         if self.exact:
             return a == b
         return abs(a - b) <= self.tol
 
-    def le(self, a: Number, b: Number = 0) -> bool:
+    def le(self, a: Number, b: Number) -> bool:
         if self.exact:
             return a <= b
         return a <= b + self.tol
 
-    def lt(self, a: Number, b: Number = 0) -> bool:
-        return not self.le(b, a)
-
-    def gt(self, a: Number, b: Number = 0) -> bool:
+    def gt(self, a: Number, b: Number) -> bool:
         return not self.le(a, b)
-
-    def is_zero(self, a: Number) -> bool:
-        return self.eq(a, 0)
 
 
 def round12(x: Number) -> float:

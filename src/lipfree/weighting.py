@@ -18,10 +18,9 @@ from .numerics import Number, coerce
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Pointwise weights in [0, 1] with a tag saying how they were made."""
+    """Pointwise weights in [0, 1]."""
 
     values: Tuple[Number, ...]
-    kind: str = "custom"
 
     def __post_init__(self):
         for v in self.values:
@@ -48,7 +47,7 @@ def daleth(n: int, space: FiniteMetricSpace) -> WeightFunction:
             vals.append(zero)
         else:
             vals.append(2 - r / lo)
-    return WeightFunction(tuple(vals), kind=f"daleth({n})")
+    return WeightFunction(tuple(vals))
 
 
 def pi_window(n: int, space: FiniteMetricSpace) -> WeightFunction:
@@ -61,7 +60,7 @@ def pi_window(n: int, space: FiniteMetricSpace) -> WeightFunction:
     outer = daleth(n, space)
     inner = daleth(-n, space)
     vals = tuple(a - b for a, b in zip(outer.values, inner.values))
-    return WeightFunction(vals, kind=f"pi({n})")
+    return WeightFunction(vals)
 
 
 def weight_function(

@@ -223,6 +223,15 @@ def test_embed_iters_below_one_is_input_error(capsys, line_files, iters):
     assert json.loads(err)["error"] == {"type": "ValueError", "message": "need at least one iteration"}
 
 
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_embed_dim_below_one_is_input_error(capsys, line_files, dim):
+    space, _ = line_files
+    assert cli.main(["embed", "--input", str(space), "--dim", dim]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": "need at least one coordinate"}
+
+
 @pytest.mark.parametrize("dim", [[], ["--dim", "1"], ["--dim", "3"]])
 def test_embed_one_point_space_is_input_error(capsys, tmp_path, dim):
     space = tmp_path / "point.json"

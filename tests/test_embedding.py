@@ -12,6 +12,7 @@ from lipfree import (
     rho,
     validate_metric,
 )
+from lipfree.embedding import _report_from_values
 from lipfree.instances import line_space, random_space, star_space
 
 
@@ -147,6 +148,14 @@ def test_search_separates_when_every_restart_ends_at_zero():
 def test_search_rejects_fewer_than_one_iteration(iterations):
     with pytest.raises(ValueError, match="at least one iteration"):
         best_embedding_search(1, random_space(5, 2), iterations=iterations, seed=0)
+
+
+def test_report_of_a_non_separating_family():
+    # One coordinate that is 1 at both far points: the pair (1, 2) stays
+    # unseparated, so the map is not injective.
+    rep = _report_from_values([[0, 1, 1]], line_space([0, 1, 3]))
+    assert rep.objective == 0 and rep.lip_h == 1
+    assert rep.lip_hinv is None and rep.distortion is None
 
 
 @pytest.mark.parametrize("exact", [True, False])

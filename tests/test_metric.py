@@ -146,6 +146,12 @@ def test_lip_constant_rho_and_constant():
         assert lip_constant([F(7)] * sp.n, sp) == 0
 
 
+def test_lip_constant_of_a_one_point_space_is_zero():
+    # No pair to take a quotient over: the empty max is 0, in the space's mode.
+    value = lip_constant([F(0)], validate_metric([[0]], exact=True))
+    assert value == 0 and type(value) is F
+
+
 BIG = F(10**20 + 39, 10**19 + 7)
 
 

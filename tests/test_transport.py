@@ -23,7 +23,7 @@ from lipfree import (
     restrict,
     validate_metric,
 )
-from lipfree.instances import random_functional, random_space
+from lipfree.instances import line_space, random_functional, random_space
 from lipfree.oracles import transport_cost_by_vertex_enumeration
 
 LINE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -215,6 +215,18 @@ def test_norming_functions_check_examples():
 
     with pytest.raises(NotARepresentation):
         norming_functions_check(delta(2, sp), f, mu, sp)
+
+
+def test_norming_functions_check_rejects_signed_measures_and_fat_potentials():
+    sp = line_space([0, 1, 2])
+    m = molecule(1, 0, sp)
+    # f has unit quotient on the pair (1, 0), but rises by 2 from 1 to 2.
+    f = LipschitzPotential.build([0, 1, 3], sp)
+    assert f.lip == 2
+    signed = PairMeasure({(1, 0): F(2), (0, 1): F(-1)}, sp)
+    with pytest.raises(SignedMeasure):
+        norming_functions_check(m, f, signed, sp)
+    assert not norming_functions_check(m, f, PairMeasure.dirac(1, 0), sp)
 
 
 def test_support_of_coupling_is_cyclically_monotone():

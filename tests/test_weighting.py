@@ -62,6 +62,13 @@ def test_pi_window_difference_equals_product_form():
             assert win.values == prod
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_weights_equal_when_their_values_do(n):
+    sp = random_space(6, seed=3)
+    for h in (daleth(n, sp), daleth(-n, sp), pi_window(n, sp)):
+        assert h == WeightFunction(h.values)
+
+
 def test_weight_function_identity_and_stability():
     sp = random_space(5, seed=3)
     ones = WeightFunction(tuple(F(1) for _ in sp.points))
