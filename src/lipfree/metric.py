@@ -137,8 +137,8 @@ class FiniteMetricSpace:
 
     def with_mode(self, exact: bool) -> "FiniteMetricSpace":
         """Same space, tolerance included, with its numbers converted to the
-        other arithmetic mode, each distinct distance once, as ``coerce``
-        converts it (an exact one to float by correctly rounded int division).
+        other arithmetic mode, each distinct distance once, by ``coerce``:
+        an exact one to float correctly rounded, and inf past float's range.
 
         The converted space is not validated again.  Float to exact reads
         each rounded float as its decimal literal, and those rationals can
@@ -147,8 +147,7 @@ class FiniteMetricSpace:
         a, scale = self.grid
         values, where = _distinct(a, self.exact)
         if self.exact:
-            convert = Fraction if exact else _quotient
-            values = [convert(v, scale) for v in values]
+            values = [coerce(Fraction(v, scale), exact) for v in values]
         return FiniteMetricSpace(self.labels, _grid_of(values, where, exact), exact, self.tol)
 
 
@@ -255,15 +254,6 @@ def _distinct(a: np.ndarray, exact: bool) -> Tuple[List[Number], np.ndarray]:
     return (keys if exact else keys.view(float)).tolist(), where.reshape(a.shape)
 
 
-def _quotient(v: int, scale: int) -> float:
-    """``v / scale`` as ``coerce(Fraction(v, scale), False)`` reads it:
-    correctly rounded, and ±inf past float's range."""
-    try:
-        return v / scale
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
 def _grid_of(values: Sequence[Number], where: np.ndarray, exact: bool) -> Tuple[np.ndarray, int]:
     """The grid of the matrix whose cells are ``values[where]``, each value
     read as ``coerce`` reads it: exact mode on the lattice of ``_lattice``,
@@ -295,12 +285,10 @@ def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] 
     row fails iff ``min_j (a[i, j] + a[j, k]) - a[i, k] < -threshold`` for
     some k, and only a failing row builds the full mask, to name the
     witness.  A float sum that overflows to inf cannot violate, so
-    overflow is not reported.
+    overflow is not reported.  A one-point matrix needs no special case:
+    every slack of its row screen is 0, so the screen keeps no row.
     """
-    n = len(a)
-    if n < 2:
-        return None
-    sums, low = a.copy(), np.empty(n, dtype=a.dtype)
+    sums, low = a.copy(), np.empty(len(a), dtype=a.dtype)
     # No off-diagonal entry exceeds the largest one, so on that diagonal
     # the minima are the off-diagonal ones.
     np.fill_diagonal(sums, np.fmax.reduce(a, axis=None))

@@ -61,11 +61,10 @@ class PairSet:
 
     @classmethod
     def of(cls, pairs: Sequence[Pair], space: FiniteMetricSpace) -> "PairSet":
-        out = []
+        pairs = tuple(map(tuple, pairs))
         for x, y in pairs:
             check_pair(x, y, space.n)
-            out.append((x, y))
-        return cls(tuple(out))
+        return cls(pairs)
 
     def deduplicated(self) -> Tuple[Pair, ...]:
         return tuple(sorted(set(self.pairs)))
@@ -127,6 +126,8 @@ def _bellman_ford(weight, dist):
     round n, or -1 when no arc relaxed there (no negative cycle).  With
     strict relaxations every cycle of the predecessor graph is negative
     (CLRS, Lemma 24.16), so walking ``pred`` from ``flagged`` finds one.
+    The diagonal needs no skip: on the pair graph ``weight[i][i]`` is exactly
+    0 (plus eps >= 0 in float mode), so no node relaxes itself.
     """
     n = len(weight)
     pred = [-1] * n
@@ -137,8 +138,6 @@ def _bellman_ford(weight, dist):
             di = dist[i]
             wi = weight[i]
             for j in range(n):
-                if i == j:
-                    continue
                 nd = di + wi[j]
                 if nd < dist[j]:
                     dist[j] = nd

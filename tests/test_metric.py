@@ -31,7 +31,7 @@ from lipfree.metric import (
     _ratio_extreme,
     _triangle_witness,
 )
-from lipfree.instances import random_space
+from lipfree.instances import line_space, random_space
 from lipfree.numerics import coerce
 
 
@@ -152,6 +152,14 @@ def test_lip_constant_of_a_one_point_space_is_zero():
     assert value == 0 and type(value) is F
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_one_point_space_validates_in_both_modes(exact):
+    sp = validate_metric([[0]], ["p"], exact=exact)
+    assert sp.n == 1 and sp.exact is exact and sp.labels == ("p",) and sp.dist == ((0,),)
+    for dtype in (np.int64, float, object):
+        assert _triangle_witness(np.zeros((1, 1), dtype=dtype), 0) is None
+
+
 BIG = F(10**20 + 39, 10**19 + 7)
 
 
@@ -265,6 +273,25 @@ def test_with_mode_to_float_matches_per_cell(mult, dtype, fast):
         grid, scale = esp.grid
         ref, ref_scale = _lattice(want)
         assert scale == ref_scale and grid.dtype == ref.dtype and grid.tolist() == ref.tolist()
+
+
+def test_with_mode_to_float_rounds_each_exact_distance_once():
+    # Past 2**53 a float numerator over a float denominator rounds twice;
+    # 10**400 and the distances to it are past float's range.
+    p = F(2072911645936348997, 11)
+    assert float(p.numerator) / p.denominator != float(p.numerator / p.denominator)
+    sp = line_space([0, p, 2**70 + 1, 10**400])
+    fsp = sp.with_mode(exact=False)
+    assert not fsp.exact and fsp.grid[1] == 1
+    for i in sp.points:
+        for j in sp.points:
+            v, r = sp.d(i, j), fsp.d(i, j)
+            assert type(r) is float and r == fsp.grid[0][i, j]
+            if v >= 2**1024:
+                assert r == math.inf
+            else:  # no float lies closer to v
+                assert all(abs(F(r) - v) <= abs(F(math.nextafter(r, t)) - v) for t in (-1, math.inf))
+    assert fsp.d(0, 1) == float(p.numerator / p.denominator) and fsp.d(0, 3) == math.inf
 
 
 def test_with_mode_keeps_the_tolerance():

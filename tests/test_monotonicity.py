@@ -52,6 +52,19 @@ def test_pair_sets_and_measures_share_one_pair_check(pair, message):
         assert PairMeasure({pair: 1}).mass == {pair: 1}
 
 
+def test_pair_set_keeps_the_callers_pairs_and_rejects_malformed_ones():
+    space = line_space([0, 1, 2])
+    pairs = [(0, 1), (2, 1), (0, 1)]
+    C = PairSet.of(pairs, space)
+    assert C.pairs == tuple(pairs) and all(a is b for a, b in zip(C.pairs, pairs))
+    assert PairSet.of([[2, 0]], space).pairs == ((2, 0),)
+    # InvalidPair cases are in test_pair_sets_and_measures_share_one_pair_check.
+    for bad, error in [((0, 1, 2), ValueError), (3, TypeError)]:
+        with pytest.raises(error) as caught:
+            PairSet.of([(0, 1), bad], space)
+        assert type(caught.value) is error
+
+
 def test_pair_graph_two_cycle_weight():
     sp = random_space(5, seed=0)
     a, b = 1, 3
