@@ -105,9 +105,8 @@ def _cmd_transport(args) -> int:
     phi = lfio.load_functional(args.functional, space)
     result = optimal_coupling(phi, space)
     if args.command == "decompose":  # molecules read off the optimal representation
-        mass = result.representation.mass
         doc = {
-            "value": lfio.jsonable_number(sum((mass[p] for p in sorted(mass)), start=0)),
+            "value": lfio.jsonable_number(result.value),
             "molecules": lfio.measure_doc(result.representation, space),
         }
     else:
@@ -198,6 +197,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         sys.stderr.write(lfio.dumps({"error": {"type": "ValueError", "message": str(exc)}}))
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # no lipfree error and no bad input: a fault of the program
+        log.debug("internal fault", exc_info=True)
+        sys.stderr.write(lfio.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

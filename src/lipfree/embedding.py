@@ -135,14 +135,6 @@ def frechet_embedding(space: FiniteMetricSpace) -> EmbeddingReport:
     return _report_from_values(_grid_rows((a - a[0]).T, scale, space.exact), space)
 
 
-def _envelope_midpoint(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Midpoint of the upper and lower 1-Lipschitz envelopes of a vector
-    on the float distance matrix ``d``."""
-    upper = -_cone_top(-v, d)
-    lower = _cone_top(v, d)
-    return (upper + lower) / 2.0
-
-
 def _project_unit_ball(
     v: np.ndarray, d: np.ndarray, pairs: Tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> np.ndarray:
@@ -160,7 +152,7 @@ def _project_unit_ball(
         value = lip(v)
         if value <= 1.0 + 1e-12:
             break
-        v = _envelope_midpoint(v, d)
+        v = (_cone_top(v, d) - _cone_top(-v, d)) / 2.0  # midpoint of the two envelopes
     else:
         value = lip(v)
     if value > 1.0:

@@ -162,7 +162,7 @@ class ExoticMetric:
             x, y = y, x
         if x % 2 == 0 and y % 2 == 1:
             p, q = x // 2, (y - 1) // 2
-            if p >= 1 and q >= 1:
+            if q >= 1:  # x is even, so p >= 1
                 n = self.family.slot(p, q)
                 if n is not None:
                     return rational_enumeration(n)

@@ -174,10 +174,7 @@ def load_functional(path: str, space: FiniteMetricSpace) -> Functional:
             i = space.index(label)
         except KeyError as exc:
             raise SchemaMismatch(f"{path}: {exc.args[0]}") from exc
-        try:
-            c = coeffs[i] = _parse_number(value)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SchemaMismatch(f"{path}: {exc}") from exc
+        c = coeffs[i] = _parse_cells(path, [value])[0]
         # Exact mode reads any int or rational; only a float can be infinite or NaN.
         if (isinstance(c, float) or not space.exact) and not math.isfinite(coerce(c, False)):
             raise SchemaMismatch(f"{path}: coefficient of {label!r} is not finite")

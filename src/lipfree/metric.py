@@ -100,8 +100,9 @@ class FiniteMetricSpace:
         """``grid`` as nested tuples (``_grid_rows``), built on first read."""
         return tuple(map(tuple, _grid_rows(*self.grid, self.exact)))
 
-    def _key(self) -> tuple:
-        return self.labels, self.dist, self.exact, self.tol
+    def _key(self) -> tuple:  # equal matrices have equal grids: ``_lattice`` scales by the lcm
+        a, scale = self.grid
+        return self.labels, scale, tuple(a.ravel().tolist()), self.exact, self.tol
 
     def __eq__(self, other) -> bool:
         return other.__class__ is self.__class__ and self._key() == other._key()
@@ -545,8 +546,7 @@ class Molecule:
 
     def to_functional(self, space: FiniteMetricSpace) -> Functional:
         d = space.d(self.x, self.y)
-        one = coerce(1, space.exact)
-        return Functional({self.x: one / d, self.y: -(one / d)}, space)
+        return Functional({self.x: 1 / d, self.y: -(1 / d)}, space)
 
 
 def molecule(x: int, y: int, space: FiniteMetricSpace) -> Functional:

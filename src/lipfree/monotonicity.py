@@ -122,18 +122,18 @@ def _bellman_ford(weight, dist):
     """Relax every arc of the complete digraph ``weight`` in place, for at
     most n rounds, stopping early after a round that changes nothing.
 
-    Returns (dist, pred, flagged): ``flagged`` is the last node relaxed in
-    round n, or -1 when no arc relaxed there (no negative cycle).  With
-    strict relaxations every cycle of the predecessor graph is negative
+    Returns (dist, pred, flagged).  ``flagged`` alone carries the verdict:
+    reset to -1 each round and set to each node relaxed, it ends the loop
+    at -1 (no negative cycle) or names the last node relaxed in round n.
+    With strict relaxations every cycle of the predecessor graph is negative
     (CLRS, Lemma 24.16), so walking ``pred`` from ``flagged`` finds one.
     The diagonal needs no skip: on the pair graph ``weight[i][i]`` is exactly
     0 (plus eps >= 0 in float mode), so no node relaxes itself.
     """
     n = len(weight)
-    pred = [-1] * n
-    flagged = -1
-    for round_ in range(n):
-        improved = False
+    pred, flagged = [-1] * n, -1
+    for _ in range(n):
+        flagged = -1
         for i in range(n):
             di = dist[i]
             wi = weight[i]
@@ -142,10 +142,8 @@ def _bellman_ford(weight, dist):
                 if nd < dist[j]:
                     dist[j] = nd
                     pred[j] = i
-                    improved = True
-                    if round_ == n - 1:
-                        flagged = j
-        if not improved:
+                    flagged = j
+        if flagged < 0:
             break
     return dist, pred, flagged
 

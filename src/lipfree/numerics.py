@@ -1,17 +1,16 @@
 """Dual-mode arithmetic: exact rationals or tolerance-gated 64-bit floats.
 
 Exact mode represents all quantities as :class:`fractions.Fraction`
-(and integer lattices), so its answers are bit-exact; float inputs are
-read with decimal-literal semantics (``0.1`` means ``1/10``).  Certificate
-checks compare through a :class:`Comparator`, which adds a single absolute
-tolerance in float mode and none in exact mode.
+(and integer lattices), so its answers are bit-exact; ``Fraction``'s own
+parser reads a float as its decimal literal ``str(value)`` (``0.1`` means
+``1/10``).  Certificate checks compare through a :class:`Comparator`,
+which adds a single absolute tolerance in float mode and none in exact mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -37,7 +36,7 @@ def coerce(value: Number, exact: bool) -> Number:
         if isinstance(value, float):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value {value!r} in exact mode")
-            return Fraction(Decimal(str(value)))
+            return Fraction(str(value))
         raise TypeError(f"cannot use {type(value).__name__} in exact mode")
     try:
         return float(value)

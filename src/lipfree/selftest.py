@@ -380,7 +380,7 @@ def c09_weighting(limit: Optional[int]) -> Tuple[bool, str]:
         if lhs != rhs:
             failures += 1
         max_rho = max(space.d(x, 0) for x in space.points)
-        n_stab = max(0, math.ceil(math.log2(float(max_rho)))) if max_rho > 0 else 0
+        n_stab = max(0, math.ceil(math.log2(float(max_rho))))  # 3+ points: max_rho > 0
         for n2 in (n_stab, n_stab + 1):
             if weighted_adjoint(phi, daleth(n2, space), space) != phi:
                 failures += 1

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,46 @@ def test_internal_error_exits_three(monkeypatch, capsys, line_files):
     monkeypatch.setattr(cli, "optimal_coupling", broken)
     assert cli.main(["norm", "--input", str(space), "--functional", str(phi)]) == 3
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InternalError"
+
+
+def test_unclassified_exception_exits_three_and_value_error_two(monkeypatch, capsys, line_files):
+    space, phi = line_files
+    argv = ["norm", "--input", str(space), "--functional", str(phi)]
+    for exc, code, body in (
+        (KeyError("lost"), 3, {"type": "KeyError", "message": "'lost'"}),
+        (ZeroDivisionError("nothing"), 3, {"type": "ZeroDivisionError", "message": "nothing"}),
+        (ValueError("bad"), 2, {"type": "ValueError", "message": "bad"}),
+    ):
+        def broken(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "optimal_coupling", broken)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err) == {"error": body}
+
+
+def test_norm_and_decompose_print_the_same_value(tmp_path):
+    rng = random.Random(20)
+    cases = [(n, True) for n in (6, 17, 40)] + [(n, False) for n in (65, 97, 128)]
+    for n, exact in cases:
+        sp = random_space(n, seed=n, exact=exact)
+        if exact:
+            path = tmp_path / f"s{n}.json"
+            path.write_text(lfio.space_json(sp))
+        else:
+            path = tmp_path / f"s{n}.csv"
+            path.write_text(",".join(sp.labels) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in sp.dist))
+        for k in range(4):
+            phi = tmp_path / f"phi{n}-{k}.json"
+            points = rng.sample(sp.labels[1:], rng.randint(2, n - 1))
+            phi.write_text(json.dumps({"coeffs": {x: rng.uniform(-5, 5) for x in points}}))
+            values = []
+            for command in ("norm", "decompose"):
+                out = tmp_path / f"{command}{n}-{k}.json"
+                assert cli.main([command, "--input", str(path), "--functional", str(phi), "--out", str(out)]) == 0
+                values.append(json.loads(out.read_text())["value"])
+            assert values[0] == values[1]
 
 
 def test_missing_pair_label_is_schema_error(tmp_path, line_files):

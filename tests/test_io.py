@@ -486,6 +486,45 @@ def test_every_builder_stores_one_read_only_grid(tmp_path):
     assert exact[0] != spaces[3]  # the same matrix as floats
 
 
+def test_space_equality_and_hash_read_the_grid_without_building_dist(tmp_path):
+    labels = ["o", "p", "q", "r"]
+    small = [[0, F(1, 2), F(5, 4), 2], [F(1, 2), 0, F(3, 4), F(3, 2)],
+             [F(5, 4), F(3, 4), 0, F(3, 4)], [2, F(3, 2), F(3, 4), 0]]
+    # 2**62 + 1/2 on the lattice of scale 2 is past 2**62: an object-dtype grid.
+    big = [[v * 2**62 + (F(1, 2) if i != j else 0) for j, v in enumerate(row)] for i, row in enumerate(small)]
+
+    def files(rows, name, exact):
+        cells = [[lfio.exact_repr(v) if exact else float(v) for v in row] for row in rows]
+        json_path, csv_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        json_path.write_text(json.dumps({"labels": labels, "dist": cells}))
+        csv_path.write_text(",".join(labels) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in cells))
+        return [lfio.load_space(str(path), exact=exact) for path in (json_path, csv_path)]
+
+    groups = []
+    for name, rows in (("small", small), ("big", big)):
+        exact = [validate_metric(rows, labels, exact=True), *files(rows, name, True)]
+        floats = [validate_metric(rows, labels, exact=False), *files(rows, f"{name}-f", False)]
+        floats.append(exact[0].with_mode(False))
+        if name == "small":  # its floats are short decimals, read back as the same rationals
+            exact.append(floats[0].with_mode(True))
+        groups += [exact, floats]
+    assert groups[2][0].grid[0].dtype == object and groups[0][0].grid[0].dtype == np.int64
+    changed = [
+        validate_metric([[v * 2 for v in row] for row in small], labels, exact=True),  # every distance
+        validate_metric([[0, F(1, 2), F(5, 4), 2], [F(1, 2), 0, F(3, 4), F(3, 2)],
+                         [F(5, 4), F(3, 4), 0, 1], [2, F(3, 2), 1, 0]], labels, exact=True),  # one distance
+        validate_metric(small, ["o", "p", "q", "s"], exact=True),
+        validate_metric(small, labels, exact=True, tol=1e-6),
+    ]
+    for group in groups:
+        assert all(sp == group[0] and hash(sp) == hash(group[0]) for sp in group)
+    # The two matrices in both modes, and the four changes: all different.
+    firsts = [group[0] for group in groups] + changed
+    for i, sp in enumerate(firsts):
+        assert all(sp != other and other != sp for other in firsts[i + 1:])
+    assert all("dist" not in vars(sp) for sp in itertools.chain(*groups, changed))
+
+
 @pytest.mark.parametrize("cell", ["Infinity", "NaN", "1e400", '"-1e400"'])
 def test_non_finite_distance_is_named_in_both_modes(tmp_path, cell):
     # Cells (1, 3) and (3, 1) hold the value; (2, 3) and (3, 2) another non-finite one.

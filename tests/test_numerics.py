@@ -1,6 +1,8 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lipfree.numerics import Comparator, coerce, exact_repr, round12
 
@@ -11,6 +13,20 @@ def test_coerce_exact_decimal_semantics():
     assert coerce(F(2, 7), exact=True) == F(2, 7)
     with pytest.raises(ValueError):
         coerce(float("inf"), exact=True)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.225073858507201e-308)
+@example(1.7976931348623157e308)
+@example(-1e-310)
+@example(1e22)
+@example(1e16)
+def test_coerce_reads_a_float_as_its_decimal_literal(v):
+    assert coerce(v, exact=True) == F(Decimal(repr(v)))
 
 
 def test_coerce_float_mode():
