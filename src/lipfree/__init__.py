@@ -11,6 +11,7 @@ the layers it touches.  ``from lipfree import *`` reads every name in
 ``__all__`` and so loads every module.
 """
 
+import functools
 import importlib
 
 #: The public names, by the submodule that defines them.
@@ -51,14 +52,19 @@ __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
 
 
+@functools.cache
+def _export(name):
+    """``name`` as its submodule held it at the first read.  ``lipfree.cli`` reads through
+    this too, so a wrapper set on the submodule after that read is never what it caches."""
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
 def __getattr__(name):
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value
-    return value
+    return globals().setdefault(name, _export(name))
 
 
 def __dir__():

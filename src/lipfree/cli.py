@@ -5,7 +5,9 @@ Commands: norm, coupling, potential, decompose (transport), check-monotone
 generator), selftest (acceptance suite).  Exit codes: 0 success, 1
 certified negative verdict, 2 input error, 3 internal fault.  Outputs are
 byte-deterministic for fixed seeds: floats at 12 significant digits, fixed
-key order.
+key order.  ``import lipfree.cli`` loads io, metric, numerics and errors;
+a command loads its own solver module (transport, monotonicity, embedding
+or exotic) on its first call.
 """
 
 from __future__ import annotations
@@ -18,20 +20,27 @@ import os
 import sys
 from typing import List, Optional
 
-from . import io as lfio
-from .embedding import best_embedding_search, frechet_embedding
+from . import _export, io as lfio
 from .errors import Error, InternalError
-from .exotic import exotic_metric, gamma_pairs
-from .monotonicity import check_cyclically_monotone
 from .numerics import DEFAULT_TOLERANCE
-from .transport import optimal_coupling
 
 log = logging.getLogger("lipfree")
+#: Loaded on first read (``__getattr__``); handlers call them through ``_cli``,
+#: so a name set on ``lipfree.cli`` (a monkeypatch, a tracer) is the one run.
+_SOLVERS = ("optimal_coupling", "check_cyclically_monotone", "frechet_embedding",
+            "best_embedding_search", "exotic_metric", "gamma_pairs")
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+
+
+def __getattr__(name):
+    if name not in _SOLVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, _export(name))
 
 
 @functools.cache
@@ -103,7 +112,7 @@ def _cmd_transport(args) -> int:
     """norm, coupling, potential and decompose: four views of one solve."""
     space = _load_space(args)
     phi = lfio.load_functional(args.functional, space)
-    result = optimal_coupling(phi, space)
+    result = _cli.optimal_coupling(phi, space)
     if args.command == "decompose":  # molecules read off the optimal representation
         doc = {
             "value": lfio.jsonable_number(result.value),
@@ -119,7 +128,7 @@ def _cmd_transport(args) -> int:
 def _cmd_check_monotone(args) -> int:
     space = _load_space(args)
     pair_set = lfio.load_pair_set(args.pairs, space)
-    cert = check_cyclically_monotone(pair_set, space)
+    cert = _cli.check_cyclically_monotone(pair_set, space)
     _emit(lfio.dumps(lfio.certificate_doc(cert, space)), args.out)
     return EXIT_OK if cert.monotone else EXIT_NEGATIVE
 
@@ -127,9 +136,9 @@ def _cmd_check_monotone(args) -> int:
 def _cmd_embed(args) -> int:
     space = _load_space(args)
     if args.dim is None:
-        report = frechet_embedding(space)
+        report = _cli.frechet_embedding(space)
     else:
-        report = best_embedding_search(args.dim, space, iterations=args.iters, seed=args.seed)
+        report = _cli.best_embedding_search(args.dim, space, iterations=args.iters, seed=args.seed)
     doc = {
         "labels": list(space.labels),
         "objective": lfio.jsonable_number(report.objective),
@@ -145,7 +154,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_gen_exotic(args) -> int:
-    em = exotic_metric(args.N)
+    em = _cli.exotic_metric(args.N)
     space = em.as_space()
     text = lfio.space_csv(space) if args.out and args.out.endswith(".csv") else lfio.space_json(space)
     if not args.out:
@@ -154,7 +163,7 @@ def _cmd_gen_exotic(args) -> int:
     table = {}
     n = 1
     while True:
-        pairs = sorted(gamma_pairs(em.family, n, em.family.horizon))
+        pairs = sorted(_cli.gamma_pairs(em.family, n, em.family.horizon))
         if not pairs and n > 4:
             break
         table[str(n)] = [[k, p] for k, p in pairs]

@@ -30,7 +30,9 @@ other rationals as "p/q" strings).  An answer past float's range raises
 allow_nan=False)``; keys keep their construction order, so identical runs
 are byte-identical.  A space is written as text in the same layout
 (``space_json``) or as CSV (``space_csv``), each distinct entry of the
-grid formatted once and scattered back (``_distinct_text``).
+grid formatted once and scattered back (``_distinct_text``).  Loading
+this module loads no solver: ``load_pair_set`` imports ``PairSet`` when it
+runs, and the other solver types are annotations only.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -59,9 +61,11 @@ from .metric import (
     validate_grid,
     validate_metric,  # noqa: F401 (benchmarks/tracing.py wraps lipfree.io.validate_metric)
 )
-from .monotonicity import CycleCertificate, PairSet
 from .numerics import DEFAULT_TOLERANCE, Number, coerce, exact_mode, exact_repr, round12
-from .transport import PairMeasure, TransportResult
+
+if TYPE_CHECKING:
+    from .monotonicity import CycleCertificate, PairSet
+    from .transport import PairMeasure, TransportResult
 
 
 class ParseError(Error):
@@ -182,6 +186,7 @@ def load_functional(path: str, space: FiniteMetricSpace) -> Functional:
 
 
 def load_pair_set(path: str, space: FiniteMetricSpace) -> PairSet:
+    from .monotonicity import PairSet
     doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
         raise SchemaMismatch(f'{path}: expected {{"pairs": [["x", "y"], ...]}}')

@@ -62,3 +62,57 @@ def test_dir_lists_every_export_and_submodule():
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         lipfree.no_such_name
+
+
+def test_cli_import_loads_no_solver_module():
+    assert loaded_after("import lipfree.cli") == {"cli", "io", "metric", "numerics", "errors"}
+
+
+LINE = '{"labels": ["0", "a", "b"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}'
+
+
+@pytest.mark.parametrize("argv, solver", [
+    *((f"{cmd} --input s.json --functional phi.json", "transport")
+      for cmd in ("norm", "coupling", "potential", "decompose")),
+    ("check-monotone --input s.json --pairs pairs.json", "monotonicity"),
+    ("embed --input s.json", "embedding"),
+    ("embed --input s.json --dim 1 --iters 5", "embedding"),
+    ("gen-exotic --N 4", "exotic"),
+])
+def test_each_command_loads_only_its_own_solver(tmp_path, argv, solver):
+    (tmp_path / "s.json").write_text(LINE)
+    (tmp_path / "phi.json").write_text('{"coeffs": {"a": 1}}')
+    (tmp_path / "pairs.json").write_text('{"pairs": [["a", "b"], ["b", "a"]]}')
+    argv = [*argv.split(), "--out", "out"]
+    code = f"import os\nos.chdir({str(tmp_path)!r})\nfrom lipfree.cli import main\nassert main({argv!r}) in (0, 1)"
+    assert loaded_after(code) & set(SOLVERS) == {solver}
+
+
+def test_every_cli_solver_is_its_modules_object():
+    from lipfree import cli
+
+    for name in cli._SOLVERS:
+        module = importlib.import_module(f"lipfree.{lipfree._MODULE_OF[name]}")
+        assert getattr(cli, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "free_norm"])
+def test_unknown_cli_name_is_attribute_error(name):
+    from lipfree import cli
+
+    with pytest.raises(AttributeError, match=f"'lipfree.cli' has no attribute '{name}'"):
+        getattr(cli, name)
+
+
+def test_tracer_leaves_the_cli_solvers_unwrapped():
+    """``benchmarks/tracing.py`` wraps ``lipfree.transport.optimal_coupling``
+    before it reads ``lipfree.cli.optimal_coupling``; after ``uninstall``
+    each name is the defining module's function again, not a wrapper."""
+    bench = str(Path(__file__).resolve().parent.parent / "benchmarks")
+    loaded_after(
+        f"import importlib, sys\nsys.path.insert(0, {bench!r})\nimport lipfree, lipfree.cli as cli, tracing\n"
+        "tracer = tracing.Tracer()\ntracer.install()\ntracer.uninstall()\n"
+        "for name in cli._SOLVERS:\n"
+        "    module = importlib.import_module('lipfree.' + lipfree._MODULE_OF[name])\n"
+        "    assert getattr(cli, name) is getattr(module, name), name\n"
+    )
