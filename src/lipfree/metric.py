@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import Error
-from .numerics import DEFAULT_TOLERANCE, Comparator, Number, coerce, exact_mode
+from .numerics import DEFAULT_TOLERANCE, Comparator, Number, coerce, exact_mode, left_sum
 
 
 class MetricError(Error):
@@ -500,7 +500,7 @@ class Functional:
 
     def total(self) -> Number:
         """Sum of coefficients (the mass imbalance the base point absorbs)."""
-        return sum(self._coeffs.values())
+        return left_sum(self._coeffs.values())
 
     def plus(self, other: "Functional", space: FiniteMetricSpace) -> "Functional":
         merged = dict(self._coeffs)
@@ -530,7 +530,7 @@ def delta(x: int, space: FiniteMetricSpace) -> Functional:
 
 def evaluate(phi: Functional, f: LipschitzPotential) -> Number:
     """Pairing <f, phi> = sum of coeffs[x] * f(x)."""
-    return sum((c * f.values[i] for i, c in phi._coeffs.items()), start=0)
+    return left_sum(c * f.values[i] for i, c in phi._coeffs.items())
 
 
 @dataclass(frozen=True)

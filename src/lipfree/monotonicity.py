@@ -10,6 +10,11 @@ f(x) - f(y) = d(x, y) on every pair, built from a chain formula as a
 negated shortest-path distance from a fixed anchor pair.  Both the check
 and the construction run the same Bellman-Ford core.
 
+The pair graph is gathered from ``space.grid`` in one array step, and the
+cycle slack and the envelope inputs are read from the grid as well, so a
+check never builds ``space.dist``; only ``verify_extremal`` and the
+brute-force oracle read distances one at a time through ``space.d``.
+
 In float mode, with eps = FLOAT_CYCLE_EPS * max(1, largest distance), a
 negative verdict needs a cycle of k pairs whose weight is below -k * eps,
 and the reported cycle always has slack below -eps; cycles of zero weight
@@ -20,11 +25,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import Error, InternalError
-from .metric import FiniteMetricSpace, LipschitzPotential, _pinned_envelope, check_pair
-from .numerics import Number, coerce
+from .metric import FiniteMetricSpace, LipschitzPotential, _grid_rows, _pinned_envelope, check_pair
+from .numerics import Number, coerce, left_sum
 
 Pair = Tuple[int, int]
 
@@ -91,25 +99,37 @@ def pair_graph(C: PairSet, space: FiniteMetricSpace):
 
     Returns (nodes, weight) where weight[i][j] = d(x_i, y_j) - d(x_i, y_i).
     C is cyclically monotone iff this graph has no negative cycle.
+
+    The weights are gathered from ``space.grid`` in one step,
+    ``W = a[xs][:, ys] - a[xs, ys][:, None]``, and returned as nested lists
+    by ``_grid_rows``: exact mode holds one ``Fraction(v, scale)`` per
+    distinct lattice difference ``v``, float mode Python floats, each the
+    IEEE subtraction ``space.d`` would give.  An int64 difference cannot
+    overflow (``_int_dtype`` keeps twice the largest entry below 2**63), and
+    an ``object`` grid subtracts Python ints.
     """
     nodes = C.deduplicated()
-    weight = [
-        [space.d(xi, yj) - space.d(xi, yi) for (xj, yj) in nodes]
-        for (xi, yi) in nodes
-    ]
-    return nodes, weight
+    a, scale = space.grid
+    xs, ys = [x for x, _ in nodes], [y for _, y in nodes]
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as Python floats give it
+        weight = a[np.ix_(xs, ys)] - a[xs, ys][:, None]
+    return nodes, _grid_rows(weight, scale, space.exact)
 
 
 def cycle_slack(cycle: Sequence[Pair], space: FiniteMetricSpace) -> Number:
     """Re-evaluate a cycle against the definition: the rotated-target cost
-    minus the original cost, summed over the cycle."""
-    k = len(cycle)
-    total = coerce(0, space.exact)
-    for t in range(k):
-        x, y = cycle[t]
-        _, y_next = cycle[(t + 1) % k]
-        total += space.d(x, y_next) - space.d(x, y)
-    return total
+    minus the original cost, summed over the cycle.
+
+    Read from ``space.grid``: exact mode sums the lattice integers and
+    divides by the scale once, float mode adds the float differences left
+    to right from 0.0."""
+    a, scale = space.grid
+    xs = [x for x, _ in cycle]
+    ys = [y for _, y in cycle]
+    terms = (a[xs, ys[1:] + ys[:1]] - a[xs, ys]).tolist()
+    if space.exact:
+        return Fraction(sum(terms), scale)
+    return left_sum(terms, 0.0)
 
 
 def _cycle_eps(space: FiniteMetricSpace) -> Number:
@@ -230,11 +250,10 @@ def build_extremal_potential(C: PairSet, space: FiniteMetricSpace) -> LipschitzP
         certificate = check_cyclically_monotone(C, space)
         if not certificate.monotone:
             raise NotMonotone(certificate)
-    return _pinned_envelope(
-        [x for x, _ in nodes],
-        [space.d(x, y) - dist[p] for p, (x, y) in enumerate(nodes)],
-        space,
-    )
+    a, scale = space.grid
+    xs, ys = [x for x, _ in nodes], [y for _, y in nodes]
+    kept = _grid_rows(a[xs, ys], scale, space.exact)  # d(x, y) of each node, as space.d gives it
+    return _pinned_envelope(xs, [d - dp for d, dp in zip(kept, dist)], space)
 
 
 def verify_extremal(

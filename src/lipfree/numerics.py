@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Number = Union[int, float, Fraction]
 
@@ -66,6 +66,19 @@ class Comparator:
 
     def gt(self, a: Number, b: Number) -> bool:
         return not self.le(a, b)
+
+
+def left_sum(values: Iterable[Number], start: Number = 0) -> Number:
+    """``start`` plus ``values``, added one at a time from the left.
+
+    Unlike ``sum()``, whose float additions are compensated from Python
+    3.12 on, every float term costs one IEEE addition, so a float answer
+    does not depend on the Python version.
+    """
+    total = start
+    for v in values:
+        total += v
+    return total
 
 
 def round12(x: Number) -> float:

@@ -36,7 +36,7 @@ from .metric import (
     check_pair,
     functionals_equal,
 )
-from .numerics import Number, coerce
+from .numerics import Number, coerce, left_sum
 
 Pair = Tuple[int, int]
 
@@ -100,7 +100,7 @@ class PairMeasure:
         return len(self._mass)
 
     def total_variation(self) -> Number:
-        return sum((abs(m) for m in self._mass.values()), start=0)
+        return left_sum(abs(m) for m in self._mass.values())
 
     def plus(self, other: "PairMeasure") -> "PairMeasure":
         merged = dict(self._mass)
@@ -136,10 +136,7 @@ def apply_representation(
     mu: PairMeasure, f: LipschitzPotential, space: FiniteMetricSpace
 ) -> Number:
     """Integrate the incremental quotients of f against the pair measure."""
-    return sum(
-        (m * (f.values[x] - f.values[y]) / space.d(x, y) for (x, y), m in mu._mass.items()),
-        start=0,
-    )
+    return left_sum(m * (f.values[x] - f.values[y]) / space.d(x, y) for (x, y), m in mu._mass.items())
 
 
 def functional_of(mu: PairMeasure, space: FiniteMetricSpace) -> Functional:

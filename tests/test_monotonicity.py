@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import lipfree
+from lipfree import io as lfio
 from lipfree import (
     EmptySet,
     InvalidPair,
@@ -250,3 +252,44 @@ def test_duplicate_pairs_are_deduplicated():
     nodes, _ = pair_graph(C, sp)
     assert nodes == ((1, 2),)
     assert check_cyclically_monotone(C, sp).monotone
+
+
+def _assert_pair_graph_is_the_definition(C, sp):
+    nodes, w = pair_graph(C, sp)
+    assert nodes == C.deduplicated()
+    expected = [[sp.d(xi, yj) - sp.d(xi, yi) for _, yj in nodes] for xi, yi in nodes]
+    assert w == expected
+    assert [[(type(v), repr(v)) for v in row] for row in w] == [
+        [(type(v), repr(v)) for v in row] for row in expected
+    ]
+
+
+def test_pair_graph_gathers_the_definition_in_every_grid_kind(tmp_path):
+    exact = [random_space(9, seed) for seed in (3, 4)]
+    huge = validate_metric(
+        [[Fraction(v * (2**62 + 1), 7) for v in row] for row in random_space(8, 5).grid[0].tolist()]
+    )
+    assert huge.grid[0].dtype == object and huge.grid[0].max() > 2**62
+    csv = tmp_path / "float.csv"
+    csv.write_text(lfio.space_csv(random_space(66, 6, exact=False)))
+    loaded = lfio.load_space(str(csv))
+    assert not loaded.exact and loaded.n == 66
+    spaces = exact + [huge, loaded] + [sp.with_mode(exact=False) for sp in exact + [huge]]
+    for k, sp in enumerate(spaces):
+        for size in (1, 6, 25):
+            _assert_pair_graph_is_the_definition(random_pair_set(sp, 40 + k, size), sp)
+        _assert_pair_graph_is_the_definition(PairSet.of([(2, 1), (1, 2), (2, 1), (2, 1)], sp), sp)
+        assert pair_graph(PairSet.of([], sp), sp) == ((), [])
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_check_monotone_reads_the_grid_and_builds_no_dist(exact):
+    sp = random_space(12, 4, exact=exact)
+    cert = check_cyclically_monotone(random_pair_set(sp, 5, 30), sp)
+    assert not cert.monotone and type(cert.slack) is (Fraction if exact else float)
+    assert "dist" not in sp.__dict__
+    assert cert.slack == cycle_slack(cert.cycle, sp) < 0
+    total, k = (Fraction(0) if exact else 0.0), len(cert.cycle)
+    for t, (x, y) in enumerate(cert.cycle):  # left to right, as cycle_slack adds
+        total += sp.d(x, cert.cycle[(t + 1) % k][1]) - sp.d(x, y)
+    assert type(total) is type(cert.slack) and total == cert.slack

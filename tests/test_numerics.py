@@ -1,10 +1,14 @@
+import math
 from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lipfree.numerics import Comparator, coerce, exact_repr, round12
+from lipfree.instances import star_space
+from lipfree.metric import Functional, LipschitzPotential, evaluate
+from lipfree.numerics import Comparator, coerce, exact_repr, left_sum, round12
+from lipfree.transport import PairMeasure, apply_representation
 
 
 def test_coerce_exact_decimal_semantics():
@@ -52,3 +56,18 @@ def test_round12_and_exact_repr():
     assert round12(0.3) == 0.3
     assert exact_repr(F(3, 4)) == "3/4"
     assert exact_repr(F(8, 4)) == "2"
+
+
+def test_float_totals_add_left_to_right_on_every_python():
+    # 0.1 ten times: 0.9999999999999999 one addition at a time, 1.0 when
+    # the additions are compensated, as sum() does from Python 3.12 on.
+    tenth, sequential = 0.1, 0.9999999999999999
+    assert math.fsum([tenth] * 10) == 1.0 != sequential
+    assert left_sum([tenth] * 10) == sequential and left_sum([], 0.0) == 0.0
+    assert left_sum([F(1, 10)] * 10) == 1
+    space = star_space(10).with_mode(exact=False)  # the base point at distance 1 from each leaf
+    phi = Functional({i: tenth for i in range(1, 11)}, space)
+    f = LipschitzPotential.build([0.0] + [1.0] * 10, space)
+    mu = PairMeasure({(i, 0): tenth for i in range(1, 11)})
+    assert phi.total() == evaluate(phi, f) == sequential
+    assert mu.total_variation() == apply_representation(mu, f, space) == sequential
