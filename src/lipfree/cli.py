@@ -181,6 +181,8 @@ def _cmd_gen_exotic(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.iters is not None and args.iters < 1:
+        raise ValueError(f"--iters must be at least 1, got {args.iters}")
     from .selftest import run_acceptance
 
     results = run_acceptance(limit=args.iters, stream=sys.stdout)

@@ -20,8 +20,8 @@ decimal.  A distance matrix is read in one pass (``load_space``):
   gathers the matrix; ``validate_grid`` checks it, and a non-finite value
   is a ``NonFiniteDistance`` in either mode.
 
-In float mode a JSON matrix of plain numbers has nothing to parse and is
-converted in one step.
+In float mode a JSON matrix of plain numbers has nothing to parse and
+goes to ``validate_metric`` as it is.
 
 Emitted numbers are fixed at 12 significant digits, except the distances
 of an exact space, which are written losslessly (integers as numbers,
@@ -55,11 +55,10 @@ from .metric import (
     InvalidPair,
     LipschitzPotential,
     _distinct,
-    _float_array,
     _grid_of,
     matrix_labels,
     validate_grid,
-    validate_metric,  # noqa: F401 (benchmarks/tracing.py wraps lipfree.io.validate_metric)
+    validate_metric,
 )
 from .numerics import DEFAULT_TOLERANCE, Number, coerce, exact_mode, exact_repr, round12
 
@@ -137,8 +136,7 @@ def load_space(
         _parse_cells(path, itertools.chain.from_iterable(dist))  # raises for the first of them
         raise
     if plain:  # JSON numbers in float mode: nothing to parse
-        labels = matrix_labels(dist, labels)
-        return validate_grid(_float_array(dist), 1, labels, exact=False, tol=tol)
+        return validate_metric(dist, labels, exact=False, tol=tol)
     values = _parse_cells(path, [v for _, v in index] if mixed else index)
     if is_csv and len(dist) != len(labels):
         raise SchemaMismatch(f"{path}: {len(labels)} labels but {len(dist)} rows")

@@ -57,9 +57,6 @@ class NotMonotone(Error):
         super().__init__(f"pair set is not cyclically monotone (slack {certificate.slack})")
         self.certificate = certificate
 
-    def payload(self):
-        return {**super().payload(), "slack": float(self.certificate.slack)}
-
 
 @dataclass(frozen=True)
 class PairSet:

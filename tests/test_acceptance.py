@@ -1,61 +1,17 @@
 """Acceptance gate: every criterion at full scale, one pass/fail line each.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines; the
-same suite backs the ``lipfree selftest`` CLI command.
+same registry, ``selftest.ALL_CRITERIA``, backs the ``lipfree selftest``
+CLI command, so a criterion registered there runs here too.
 """
+
+import pytest
 
 from lipfree import selftest
 
 
-def _run(criterion):
+@pytest.mark.parametrize("criterion", selftest.ALL_CRITERIA, ids=lambda c: c.cid)
+def test_criterion(criterion):
     result = criterion()
     print(result.line(include_elapsed=True))
     assert result.passed, result.line(include_elapsed=True)
-
-
-def test_c01_strong_duality():
-    _run(selftest.c01_strong_duality)
-
-
-def test_c02_norm_vs_lp_vertex_oracle():
-    _run(selftest.c02_norm_oracle)
-
-
-def test_c03_optimality_iff_cyclical_monotonicity():
-    _run(selftest.c03_optimality_iff_monotone)
-
-
-def test_c04_checker_vs_bruteforce_oracle():
-    _run(selftest.c04_monotonicity_oracle)
-
-
-def test_c05_extremal_potential():
-    _run(selftest.c05_extremal_potential)
-
-
-def test_c06_chained_support_alignment():
-    _run(selftest.c06_chained_alignment)
-
-
-def test_c07_reflection_identity():
-    _run(selftest.c07_reflection_identity)
-
-
-def test_c08_molecule_decomposition():
-    _run(selftest.c08_molecule_decomposition)
-
-
-def test_c09_weighting_operators():
-    _run(selftest.c09_weighting)
-
-
-def test_c10_isometric_embedding():
-    _run(selftest.c10_frechet)
-
-
-def test_c11_exotic_family_and_metric():
-    _run(selftest.c11_exotic)
-
-
-def test_c12_cli_byte_determinism():
-    _run(selftest.c12_cli_golden)

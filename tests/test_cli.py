@@ -224,6 +224,15 @@ def test_embed_iters_below_one_is_input_error(capsys, line_files, iters):
     assert json.loads(err)["error"] == {"type": "ValueError", "message": "need at least one iteration"}
 
 
+@pytest.mark.parametrize("iters", ["0", "-5"])
+def test_selftest_iters_below_one_is_input_error(capsys, iters):
+    assert cli.main(["selftest", "--iters", iters]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": f"--iters must be at least 1, got {iters}"}
+
+
 @pytest.mark.parametrize("dim", ["0", "-2"])
 def test_embed_dim_below_one_is_input_error(capsys, line_files, dim):
     space, _ = line_files

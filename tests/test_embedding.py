@@ -57,6 +57,14 @@ def test_alpha_objective_examples():
         alpha_objective([], sp)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_alpha_objective_of_one_point_space_is_one(exact):
+    # No pair to separate: the minimum over no pairs is taken as 1.
+    sp = validate_metric([[0]], exact=exact)
+    value = alpha_objective([LipschitzPotential.build([0], sp)], sp)
+    assert value == 1 and type(value) is (F if exact else float)
+
+
 def test_alpha_objective_rescales_fat_functions():
     sp = validate_metric([[0, 1], [1, 0]])
     f = LipschitzPotential.build([0, 5], sp)  # lip 5, rescaled to unit ball

@@ -449,6 +449,24 @@ def test_each_distinct_cell_is_parsed_once(tmp_path, monkeypatch):
     assert len(distinct) == 6
 
 
+@pytest.mark.parametrize("n, exact", [(70, None), (5, False)])
+def test_float_plain_number_json_goes_to_validate_metric(tmp_path, monkeypatch, n, exact):
+    calls = []
+    validate = lfio.validate_metric
+    monkeypatch.setattr(lfio, "validate_metric", lambda *a, **k: calls.append(a) or validate(*a, **k))
+    # Plane distances plus 1 off the diagonal: a metric in which any
+    # distance may be set to 2.
+    pts = np.random.default_rng(n).random((n, 2))
+    rows = (np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)) + 1 - np.eye(n)).tolist()
+    rows[0][1] = rows[1][0] = 2  # a JSON int among the floats is still a plain number
+    labels = [f"p{i}" for i in range(n)]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"labels": labels, "dist": rows}))
+    space = lfio.load_space(str(path), exact=exact)
+    assert len(calls) == 1
+    assert space == validate_metric(rows, labels, exact=False) and not space.exact
+
+
 def _built_spaces(tmp_path):
     """(space, the dist it should read) from every builder, the reference
     read cell by cell: an exact and a float matrix through validate_metric,

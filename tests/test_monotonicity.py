@@ -215,6 +215,8 @@ def test_build_extremal_raises():
         build_extremal_potential(PairSet.of([(1, 2), (2, 1)], sp), sp)
     cert = exc.value.certificate
     assert cycle_slack(cert.cycle, sp) == cert.slack < 0
+    # The CLI error body is the base one; the certificate stays on the exception.
+    assert exc.value.payload() == {"type": "NotMonotone", "message": str(exc.value)}
 
 
 def test_verify_extremal_rejects_zero_function():
