@@ -29,6 +29,7 @@ from .metric import (
     _cone_top,
     _grid_rows,
     _on_lattice,
+    _potentials,
     _ratio_extreme,
     _upper_pairs,
 )
@@ -86,11 +87,16 @@ def _worst_pair_separation(
     Dividing once per pair gives the max of the per-row quotients, because
     exact and correctly rounded division are both monotone.
     """
-    n = space.n
-    if n < 2:
+    if space.n < 2:
         return coerce(1, space.exact)
     v, d, _ = _on_lattice(rows, space)
-    i, j = _upper_pairs(n)
+    return _separation(v, d)
+
+
+def _separation(v: np.ndarray, d: np.ndarray) -> Number:
+    """``_worst_pair_separation`` of the rows ``v``, with ``v`` and the
+    distances ``d`` of at least two points on one lattice."""
+    i, j = _upper_pairs(len(d))
     return _ratio_extreme(_pair_spread(v, i, j), d[i, j], largest=False)
 
 
@@ -106,15 +112,22 @@ def _pair_spread(v: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _report_from_values(
     rows: Sequence[Sequence[Number]], space: FiniteMetricSpace
 ) -> EmbeddingReport:
-    """Normalize a family to combined Lipschitz constant 1 and measure it."""
-    functions = tuple(LipschitzPotential.build(row, space) for row in rows)
+    """Normalize a family to combined Lipschitz constant 1 and measure it.
+
+    One lattice pass (``metric._potentials``) gives every row's constant
+    and the objective; a family whose largest constant is not 1 is divided
+    by it and built once more.
+    """
+    functions, v, d = _potentials(rows, space)
     lip_h = max(f.lip for f in functions)
     if lip_h != 1:
-        rows = [[v / lip_h for v in f.values] for f in functions]
-        functions = tuple(LipschitzPotential.build(row, space) for row in rows)
+        functions, v, d = _potentials([[x / lip_h for x in f.values] for f in functions], space)
 
     one = coerce(1, space.exact)
-    objective = alpha_objective(functions, space)
+    if any(space.cmp.gt(f.lip, 1) for f in functions):  # a float rescale landed past 1 + tol
+        objective = alpha_objective(functions, space)
+    else:
+        objective = _separation(v, d)
     if objective == 0:  # the coordinates fail to separate some pair
         return EmbeddingReport(functions, one, None, None, objective)
     lip_hinv = 1 / objective

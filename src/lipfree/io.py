@@ -42,6 +42,7 @@ import io as _stdio
 import itertools
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
@@ -130,8 +131,9 @@ def load_space(
             mixed = len(types) > 1
             if mixed:  # by type too, since False == 0 and 2**70 == 2.0**70
                 keys = zip(map(type, itertools.chain.from_iterable(dist)), keys)
-            index = {}  # each distinct key, at its position in order of first occurrence
-            where = [index.setdefault(k, len(index)) for k in keys]
+            index = defaultdict()  # each distinct key, at its position in order of first occurrence
+            index.default_factory = index.__len__
+            where = np.fromiter(map(index.__getitem__, keys), np.intp)
     except TypeError:  # a row that is not an array, or a cell that cannot be hashed
         _parse_cells(path, itertools.chain.from_iterable(dist))  # raises for the first of them
         raise
@@ -141,7 +143,7 @@ def load_space(
     if is_csv and len(dist) != len(labels):
         raise SchemaMismatch(f"{path}: {len(labels)} labels but {len(dist)} rows")
     labels = matrix_labels(dist, labels)
-    a, scale = _grid_of(values, np.reshape(where, (len(labels), -1)), exact)
+    a, scale = _grid_of(values, where.reshape(len(labels), -1), exact)
     return validate_grid(a, scale, labels, exact=exact, tol=tol)
 
 

@@ -8,7 +8,9 @@ operations are pure functions.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -174,8 +176,7 @@ def validate_metric(
     if exact:  # cell by cell: a table of distinct Fractions costs more in hashing than it saves
         a, scale = _grid_of([v for row in raw for v in row], np.arange(n * n).reshape(n, n), True)
     else:
-        plain = {type(v) for row in raw for v in row} <= {int, float}
-        a, scale = _float_array(raw if plain else [[coerce(v, False) for v in row] for row in raw]), 1
+        a, scale = _float_array(raw), 1
     return validate_grid(a, scale, labels, exact=exact, tol=tol)
 
 
@@ -263,7 +264,7 @@ def _grid_of(values: Sequence[Number], where: np.ndarray, exact: bool) -> Tuple[
     if not exact:
         return _float_array([values])[0][where], 1
     try:
-        a, scale = _lattice([[coerce(v, True) for v in values]])
+        a, scale = _lattice([values])
     except ValueError:
         bad = np.array([isinstance(v, float) and not math.isfinite(v) for v in values])[where]
         raise NonFiniteDistance(*(int(x) for x in np.argwhere(bad)[0])) from None
@@ -284,12 +285,18 @@ def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] 
     ``r[i] + c[k] - a[i, k] < -threshold``; a matrix whose distances all
     lie in [m, 2m], such as a uniformly discrete one, keeps none.  A kept
     row fails iff ``min_j (a[i, j] + a[j, k]) - a[i, k] < -threshold`` for
-    some k, and only a failing row builds the full mask, to name the
-    witness.  A float sum that overflows to inf cannot violate, so
-    overflow is not reported.  A one-point matrix needs no special case:
-    every slack of its row screen is 0, so the screen keeps no row.
+    some k.  The kept rows are relaxed in blocks of ``max(1, 65536 // n²)``
+    rows, one ``fmin`` reduction of ``a[i, j] + a[j, k]`` per block: at
+    most 65536 sums (512 KB of 8-byte entries) unless one row holds more,
+    so a block stays in cache and its memory is bounded, while a small
+    matrix takes few numpy calls.  Only the first failing row of the first
+    failing block builds the full mask, to name the witness.  A float sum
+    that overflows to inf cannot violate, so overflow is not reported.  A
+    one-point matrix needs no special case: every slack of its row screen
+    is 0, so the screen keeps no row.
     """
-    sums, low = a.copy(), np.empty(len(a), dtype=a.dtype)
+    n = len(a)
+    sums = a.copy()
     # No off-diagonal entry exceeds the largest one, so on that diagonal
     # the minima are the off-diagonal ones.
     np.fill_diagonal(sums, np.fmax.reduce(a, axis=None))
@@ -297,36 +304,59 @@ def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] 
         r, c = np.fmin.reduce(sums, axis=1), np.fmin.reduce(sums, axis=0)
         np.subtract(np.add(r[:, None], c, out=sums), a, out=sums)
         rows = np.flatnonzero((sums < -threshold).any(axis=1))
-        for i in rows.tolist():
-            np.fmin.reduce(np.add(a[i, :, None], a, out=sums), axis=0, out=low)
-            if (low - a[i] < -threshold).any():
+        del sums  # so that a one-row block of a large matrix takes its place
+        step = max(1, 65536 // n**2)
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            low = np.fmin.reduce(a[block, :, None] + a, axis=1)
+            failing = (low - a[block] < -threshold).any(axis=1)
+            if failing.any():
+                i = int(block[failing.argmax()])
                 bad = a[i, :, None] + a - a[i, None, :] < -threshold
                 j, k = (int(x) for x in np.argwhere(bad)[0])
                 return i, j, k
     return None
 
 
-def _lattice(m: Sequence[Sequence[Fraction]], scale: int = 1) -> Tuple[np.ndarray, int]:
-    """A rational matrix as integers over one common denominator.
+_numerator, _denominator = operator.attrgetter("numerator"), operator.attrgetter("denominator")
+
+
+def _lattice(m: Sequence[Sequence[Number]], scale: int = 1) -> Tuple[np.ndarray, int]:
+    """A rational matrix, each entry read as ``coerce(v, True)`` reads it,
+    as integers over one common denominator.
 
     Returns the matrix times ``L``, and ``L``: the lcm of ``scale`` and the
     entries' denominators.  Numpy int64 when the sum of two entries cannot
     overflow, an ``object`` array of Python ints otherwise; either way its
-    arithmetic is exact.
+    arithmetic is exact.  Entries that are all ``Fraction`` or ``int``
+    skip ``coerce``, and both kinds are read in C-level ``map`` passes.
     """
-    scale = math.lcm(scale, *(v.denominator for row in m for v in row))
-    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in m]
-    top = max((abs(v) for row in ints for v in row), default=0)
-    return np.array(ints, dtype=_int_dtype(top)), scale
+    cells = list(itertools.chain.from_iterable(m))
+    if not set(map(type, cells)) <= {Fraction, int}:
+        cells = [coerce(v, True) for v in cells]
+    dens = list(map(_denominator, cells))
+    scale = math.lcm(scale, *set(dens))
+    ints = list(map(operator.mul, map(_numerator, cells), map(scale.__floordiv__, dens)))
+    top = max(map(abs, ints), default=0)
+    return np.array(ints, dtype=_int_dtype(top)).reshape(len(m), -1), scale
 
 
 def _float_array(m: Sequence[Sequence[Number]]) -> np.ndarray:
-    """A matrix of ints, floats and rationals as float64, each entry read
-    as ``coerce(v, False)`` reads it: past float's range, as ±inf."""
+    """A matrix of numbers as float64, each entry read as ``coerce(v,
+    False)`` reads it: past float's range, as ±inf.
+
+    numpy's inferred dtype decides the route: a bool, integer or float
+    matrix converts as a whole; an object, string or complex one, a ragged
+    one (a cell that is a list) and one numpy cannot hold go cell by cell
+    through ``coerce``, which names the first bad cell.
+    """
     try:
-        return np.array(m, dtype=float)
-    except OverflowError:
-        return np.array([[coerce(v, False) for v in row] for row in m], dtype=float)
+        a = np.array(m)
+        if a.ndim == 2 and a.dtype.kind in "biuf":
+            return a.astype(float, copy=False)
+    except (ValueError, OverflowError):  # ragged, or a number past numpy's types
+        pass
+    return np.array([[coerce(v, False) for v in row] for row in m], dtype=float)
 
 
 def _int_dtype(top: int) -> type:
@@ -348,7 +378,7 @@ def _on_lattice(
     d, scale = space.grid
     if not space.exact:
         return np.array(rows, dtype=float), d, 1
-    v, common = _lattice([[coerce(x, True) for x in row] for row in rows], scale)
+    v, common = _lattice(rows, scale)
     if common != scale:
         k = common // scale
         d = d.astype(_int_dtype(k * int(np.abs(d).max()))) * k
@@ -385,9 +415,16 @@ def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:
         raise ValueError(f"{len(values)} values for a {n}-point space")
     if n < 2:
         return coerce(0, space.exact)
-    (v,), d, _ = _on_lattice([values], space)
-    i, j = _upper_pairs(n)
-    return _ratio_extreme(np.abs(v[i] - v[j]), d[i, j], largest=True)
+    v, d, _ = _on_lattice([values], space)
+    return _lips(v, d)[0]
+
+
+def _lips(v: np.ndarray, d: np.ndarray) -> List[Number]:
+    """The best Lipschitz constant of each row of ``v``, with ``v`` and the
+    distances ``d`` of at least two points on one lattice (``_on_lattice``)."""
+    i, j = _upper_pairs(len(d))
+    dij = d[i, j]
+    return [_ratio_extreme(np.abs(x[i] - x[j]), dij, largest=True) for x in v]
 
 
 @lru_cache(maxsize=1)
@@ -437,15 +474,34 @@ class LipschitzPotential:
 
     @classmethod
     def build(cls, values: Sequence[Number], space: FiniteMetricSpace) -> "LipschitzPotential":
-        vals = tuple(coerce(v, space.exact) for v in values)
-        if len(vals) != space.n:
-            raise ValueError(f"{len(vals)} values for a {space.n}-point space")
-        if vals[0] != 0:
-            raise ValueError("potential must vanish at the base point (index 0)")
-        return cls(vals, lip_constant(vals, space))
+        """The potential with these values, each read as ``coerce`` reads
+        it, and its best Lipschitz constant.  This is the one-row case of
+        ``_potentials``, which puts a family of rows on one lattice, so an
+        embedding report builds its coordinates in one pass."""
+        return _potentials([values], space)[0][0]
 
     def __call__(self, i: int) -> Number:
         return self.values[i]
+
+
+def _potentials(
+    rows: Sequence[Sequence[Number]], space: FiniteMetricSpace
+) -> Tuple[Tuple[LipschitzPotential, ...], np.ndarray, np.ndarray]:
+    """``LipschitzPotential.build`` of each row, with the checks in row
+    order, and the value rows and the distance matrix on the one lattice
+    (``_on_lattice``) that every row's constant is read from."""
+    n, exact = space.n, space.exact
+    vals = []
+    for row in rows:
+        row = tuple(coerce(v, exact) for v in row)
+        if len(row) != n:
+            raise ValueError(f"{len(row)} values for a {n}-point space")
+        if row[0] != 0:
+            raise ValueError("potential must vanish at the base point (index 0)")
+        vals.append(row)
+    v, d, _ = _on_lattice(vals, space)
+    lips = _lips(v, d) if n > 1 else [coerce(0, exact)] * len(vals)
+    return tuple(map(LipschitzPotential, vals, lips)), v, d
 
 
 def rho(space: FiniteMetricSpace) -> LipschitzPotential:

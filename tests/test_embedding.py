@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,7 +14,9 @@ from lipfree import (
     rho,
     validate_metric,
 )
-from lipfree.embedding import _report_from_values
+from lipfree.embedding import EmbeddingReport, _report_from_values
+from lipfree.metric import _potentials
+from lipfree.numerics import coerce
 from lipfree.instances import line_space, random_space, star_space
 
 
@@ -173,3 +177,71 @@ def test_search_rejects_a_one_point_space(exact):
     for embed in (frechet_embedding, lambda sp: best_embedding_search(2, sp, seed=0)):
         with pytest.raises(ValueError, match="need at least two points to embed"):
             embed(space)
+
+
+def _per_row_report(rows, space):
+    """The report as built one row at a time: ``LipschitzPotential.build``
+    per row, the rescale by the largest constant, then ``alpha_objective``."""
+    functions = tuple(LipschitzPotential.build(row, space) for row in rows)
+    lip_h = max(f.lip for f in functions)
+    if lip_h != 1:
+        functions = tuple(LipschitzPotential.build([v / lip_h for v in f.values], space) for f in functions)
+    one = coerce(1, space.exact)
+    objective = alpha_objective(functions, space)
+    if objective == 0:
+        return EmbeddingReport(functions, one, None, None, objective)
+    return EmbeddingReport(functions, one, 1 / objective, 1 / objective, objective)
+
+
+def _report_cases():
+    """(space, rows): Frechet rows and random rows with mixed denominators
+    (which the report rescales) on int64 and Python-int exact grids; random
+    float rows, also on a space whose tolerance is so small that a rescaled
+    constant can land past 1."""
+    rng = random.Random(4)
+    big = F(10**20 + 39, 10**19 + 7)
+    for seed in range(10):
+        base = random_space(2 + seed % 6, seed)
+        for mult in (1, big):
+            sp = validate_metric([[v * mult for v in row] for row in base.dist])
+            yield sp, [[sp.d(x, j) - sp.d(0, j) for x in sp.points] for j in sp.points]
+            yield sp, [
+                [0] + [F(rng.randint(-9, 9), rng.choice([1, 2, 7, 10**12 + 3])) for _ in range(sp.n - 1)]
+                for _ in range(rng.randint(1, 4))
+            ]
+    for seed in range(200):
+        fsp = random_space(3 + seed % 10, seed, exact=False)
+        space = fsp if seed % 4 == 0 else dataclasses.replace(fsp, tol=1e-300)
+        yield space, [[0.0] + [rng.uniform(-3, 3) for _ in range(fsp.n - 1)] for _ in range(2)]
+
+
+def test_batched_report_matches_per_row_build():
+    kinds = set()
+    for sp, rows in _report_cases():
+        functions, _, _ = _potentials(rows, sp)
+        assert repr(functions) == repr(tuple(LipschitzPotential.build(row, sp) for row in rows))
+        want = _per_row_report(rows, sp)
+        assert repr(_report_from_values(rows, sp)) == repr(want)
+        lips = [f.lip for f in functions]
+        kinds.add((sp.exact, sp.grid[0].dtype.str, max(lips) != 1))
+        kinds.add(("past 1 + tol", any(sp.cmp.gt(f.lip, 1) for f in want.functions)))
+    assert {(True, "<i8", False), (True, "<i8", True), (True, "|O", False), (True, "|O", True)} <= kinds
+    assert {(False, "<f8", True), ("past 1 + tol", True)} <= kinds
+
+
+def test_batched_build_checks_rows_in_order():
+    # The first bad row raises, with the message LipschitzPotential.build gives.
+    sp = line_space([0, 1, 3])
+    for rows, message in (
+        ([[0, 1, 2], [1, 0, 0], [0, 1]], "potential must vanish at the base point"),
+        ([[0, 1, 2], [0, 1], [1, 0, 0]], "2 values for a 3-point space"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _potentials(rows, sp)
+    one = validate_metric([[0]])
+    functions, _, _ = _potentials([[0], [F(0)]], one)
+    assert repr(functions) == repr((LipschitzPotential.build([0], one),) * 2)
+    with pytest.raises(ValueError, match="2 values for a 1-point space"):
+        _potentials([[0, 1]], one)
+    with pytest.raises(ValueError, match="need at least two points to embed"):
+        frechet_embedding(one)

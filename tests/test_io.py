@@ -217,7 +217,7 @@ _CELLS = [
     " 3 ", "1_000", "+3/4", "3/-4", "3 /4", "inf", "nan", "-Infinity", "1e400", "0x10", "",
     "1/0", "-0", "7/3", "0007/0003", "1_0/3", "+-1/2", "1/2/3", "\u0663/4", "\u00b2/3", "3/\u00b2",
     "2.5", "1e-3",
-    "10" * 200, True, None, [1, 2], 2.5, 3, 10**400,
+    "10" * 200, True, None, [1, 2], [[1]], {}, {"a": 1}, 2.5, 3, 10**400, -(10**400), 2**63,
     "6/12", "0/0", "-0/5", "+0003", "1,2", "2,", "4/2/", "10" * 2200, 10**19, "99999999999999999999/7",
     # Equal in Python to the int 0 diagonal or the int 2 background, but
     # read differently: False is no number, and exact mode reads a float

@@ -26,10 +26,12 @@ from lipfree.metric import (
     MetricError,
     NonFiniteDistance,
     NonzeroDiagonal,
+    _int_dtype,
     _lattice,
     _pinned_envelope,
     _ratio_extreme,
     _triangle_witness,
+    validate_grid,
 )
 from lipfree.instances import line_space, random_space
 from lipfree.numerics import coerce
@@ -273,6 +275,79 @@ def test_with_mode_to_float_matches_per_cell(mult, dtype, fast):
         grid, scale = esp.grid
         ref, ref_scale = _lattice(want)
         assert scale == ref_scale and grid.dtype == ref.dtype and grid.tolist() == ref.tolist()
+
+
+def _per_cell_validate(raw, exact):
+    """``validate_metric`` with every cell read by ``coerce`` on its own, in
+    row-major order: exact mode scales the Fractions by the lcm of their
+    denominators, and a cell ``coerce`` rejects as non-finite is a
+    ``NonFiniteDistance``."""
+    labels = tuple(str(i) for i in range(len(raw)))
+    rows = []
+    for i, row in enumerate(raw):
+        rows.append([])
+        for j, v in enumerate(row):
+            try:
+                rows[-1].append(coerce(v, exact))
+            except ValueError:
+                if not exact:
+                    raise
+                raise NonFiniteDistance(i, j) from None
+    if not exact:
+        return validate_grid(np.array(rows, dtype=float), 1, labels, exact=False)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [[int(v * scale) for v in row] for row in rows]
+    top = max(abs(v) for row in ints for v in row)
+    return validate_grid(np.array(ints, dtype=_int_dtype(top)), scale, labels, exact=True)
+
+
+def _outcome(fn):
+    """The space's distances and grid, or the error's class, text and witness."""
+    try:
+        sp = fn()
+    except (MetricError, TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    a, scale = sp.grid
+    return repr(sp.dist), a.dtype.str, repr(a.tolist()), scale
+
+
+_ODD_CELLS = [
+    None, True, False, "3", " 2.5 ", "abc", b"3", F(5, 2), F(1, 3), 10**400, -(10**400),
+    [1], [1, 2], {}, {"a": 1}, 1j, 2**63, 2**63 + 1, 2**70, 2.5, 3, math.nan, math.inf, np.float64(1.5),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("cell", _ODD_CELLS, ids=repr)
+def test_validate_metric_reads_each_cell_as_coerce_does(exact, cell):
+    # numpy's inferred dtype picks the float route and the lattice skips
+    # ``coerce`` for ints and Fractions; the value, error class, text and
+    # witness stay those of the per-cell read, with the cell alone, behind
+    # a bad string, and ahead of a non-finite float.
+    rows = [[0 if i == j else 2 for j in range(3)] for i in range(3)]
+    rows[0][1] = rows[1][0] = cell
+    cases = [rows, [r[:] for r in rows], [r[:] for r in rows]]
+    cases[1][0][2] = cases[1][2][0] = "x"
+    cases[2][2][1] = math.nan
+    for raw in cases:
+        want = _outcome(lambda: _per_cell_validate(raw, exact))
+        assert _outcome(lambda: validate_metric(raw, exact=exact)) == want, raw
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_validate_metric_reads_whole_matrices_as_coerce_does(exact):
+    # Matrices that numpy reads whole: all bool, all one-element lists
+    # (a 3-D array), ints past int64 with and without a negative entry.
+    for raw in (
+        [[False, True], [True, False]],
+        [[[0], [1]], [[1], [0]]],
+        [[0, 2**64], [2**64, 0]],
+        [[0, -1], [2**63, 0]],
+        [[0, 2**62], [2**62, 0]],
+        [[0.0, 0.5], [0.5, 0.0]],
+    ):
+        want = _outcome(lambda: _per_cell_validate(raw, exact))
+        assert _outcome(lambda: validate_metric(raw, exact=exact)) == want, raw
 
 
 def test_with_mode_to_float_rounds_each_exact_distance_once():
@@ -576,6 +651,69 @@ def test_triangle_screen_on_float_matrices_asymmetric_within_tol():
                 assert exc.witness == witness
             else:
                 assert witness is None
+
+
+def _kept_rows(a, threshold):
+    """The rows that the O(n²) screen of ``_triangle_witness`` keeps: some
+    k with r[i] + c[k] - a[i, k] < -threshold, r and c the off-diagonal
+    row and column minima."""
+    sums = a.copy()
+    np.fill_diagonal(sums, a.max())
+    r, c = sums.min(axis=1), sums.min(axis=0)
+    return np.flatnonzero((r[:, None] + c - a < -threshold).any(axis=1)).tolist()
+
+
+def _shifted_line(n, rng):
+    """Integer distances |t_x - t_y| + 800 for points t_x in [0, 1000]: a
+    metric whose screen keeps the rows of points near either end and drops
+    the middle ones, in shuffled order."""
+    t = rng.integers(0, 1001, size=n)
+    a = np.abs(t[:, None] - t[None, :]) + 800
+    np.fill_diagonal(a, 0)
+    return a, t
+
+
+@pytest.mark.parametrize("n", range(1, 141))
+def test_triangle_blocks_report_the_first_failing_row(n):
+    # Kept rows are relaxed in blocks of max(1, 65536 // n²).  A broken
+    # pair (i, k), i < k, makes rows i and k fail and no other, so when both
+    # sit in one block the witness must come from i, the block's first
+    # failing row.  Scenario by n: i first, in the middle or last of its
+    # block, or a row the screen drops until the break; int64, float and
+    # Python-int (past 2**62) grids; thresholds 0 and positive.
+    rng = np.random.default_rng(n)
+    base, t = _shifted_line(n, rng)
+    scenario = ("first", "middle", "last", "dropped")[n % 4]
+    threshold = (0, 5)[n // 4 % 2]
+    kept = _kept_rows(base, threshold)
+    step = max(1, 65536 // n**2)
+    blocks = [kept[s : s + step] for s in range(0, len(kept), step)]
+    pick = None
+    if blocks:
+        block = blocks[len(blocks) // 2]
+        at = {"first": 0, "middle": len(block) // 2, "last": len(block) - 1}.get(scenario)
+        if scenario == "dropped":
+            pick = next((x for x in range(n) if x not in kept), None)
+        elif len(block) >= (3 if scenario == "middle" else 1):
+            pick = block[at]
+    a = base.copy()
+    if pick is not None and pick < n - 1:
+        i = pick
+        # The farthest later point: a[i, k] is then the minimum of neither
+        # row i nor column k, so the screen of every other row stays put.
+        k = max(range(i + 1, n), key=lambda x: (abs(int(t[i] - t[x])), -x))
+        detour = min(a[i, j] + a[j, k] for j in range(n) if j not in (i, k)) if n > 2 else None
+        if detour is not None and abs(int(t[i] - t[k])) > 0:
+            a[i, k] = a[k, i] = detour + threshold + 1
+            assert _kept_rows(a, threshold) == sorted(set(kept) | {i, k})
+            if scenario in ("first", "middle") and k in block:
+                assert block.index(i) == at  # both failing rows share i's block
+    for grid, unit in ((a, 1), (a * 2.0**-7, 2.0**-7), (a.astype(object) * (2**62 + 1), 2**62 + 1)):
+        if grid.dtype == object and n not in (3, 9, 33, 64, 65):
+            continue
+        witness = _triangle_reference(grid, threshold * unit)
+        assert _triangle_witness(grid, threshold * unit) == witness
+        assert (witness is None) == (a == base).all()
 
 
 def test_ratio_extreme_settles_ties_in_integers():
