@@ -6,7 +6,13 @@ Functional: {"coeffs": {"label": number, ...}}.
 Pair set: {"pairs": [["x", "y"], ...]}.
 
 Numbers in input files are JSON numbers or strings: "p/q", integer or
-decimal.  A distance matrix is read in one pass (``load_space``):
+decimal.  A CSV file is read as ``csv.reader`` reads it, blank lines
+skipped.  Text with no quote, carriage return or NUL byte and no line
+longer than ``csv.field_size_limit()``, such as every file ``space_csv``
+writes, is split at each newline and comma directly, which is what the
+reader would do; any other text goes through the reader, whose
+``csv.Error`` (a field past the limit, or a NUL byte on Python 3.10) is a
+``ParseError``.  A distance matrix is read in one pass (``load_space``):
 
 - its cells go into a table of distinct cells, first occurrences first,
   keyed by value, or by type and value when the cells' types mix (the
@@ -110,8 +116,7 @@ def load_space(
     """Load a metric space from JSON or CSV (by extension) and validate it."""
     is_csv = path.endswith(".csv")
     if is_csv:
-        # csv.reader reads a blank line as [], which is no row of the matrix.
-        rows = [row for row in csv.reader(_stdio.StringIO(_read_text(path))) if row]
+        rows = _csv_rows(path, _read_text(path))
         if not rows:
             raise SchemaMismatch(f"{path}: empty CSV")
         labels, dist = rows[0], rows[1:]
@@ -145,6 +150,25 @@ def load_space(
     labels = matrix_labels(dist, labels)
     a, scale = _grid_of(values, where.reshape(len(labels), -1), exact)
     return validate_grid(a, scale, labels, exact=exact, tol=tol)
+
+
+def _csv_rows(path: str, text: str) -> List[List[str]]:
+    """The non-blank rows ``csv.reader`` reads from ``text``; its
+    ``csv.Error`` (a field past ``csv.field_size_limit()``, or on Python
+    3.10 a NUL byte) is a ``ParseError``.
+
+    Text with no quote, carriage return or NUL, and no line longer than
+    the field limit, is what the reader would just cut at each ``\\n`` and
+    each comma, so it is split directly.  The reader reads a blank line as
+    [], which is no row of the matrix.
+    """
+    lines = text.split("\n")
+    if not ('"' in text or "\r" in text or "\0" in text) and max(map(len, lines)) <= csv.field_size_limit():
+        return [line.split(",") for line in lines if line]
+    try:
+        return [row for row in csv.reader(_stdio.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not valid CSV: {exc}") from exc
 
 
 def _parse_cells(path: str, cells) -> List[Number]:

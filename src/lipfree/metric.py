@@ -285,15 +285,28 @@ def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] 
     ``r[i] + c[k] - a[i, k] < -threshold``; a matrix whose distances all
     lie in [m, 2m], such as a uniformly discrete one, keeps none.  A kept
     row fails iff ``min_j (a[i, j] + a[j, k]) - a[i, k] < -threshold`` for
-    some k.  The kept rows are relaxed in blocks of ``max(1, 65536 // n²)``
-    rows, one ``fmin`` reduction of ``a[i, j] + a[j, k]`` per block: at
-    most 65536 sums (512 KB of 8-byte entries) unless one row holds more,
-    so a block stays in cache and its memory is bounded, while a small
-    matrix takes few numpy calls.  Only the first failing row of the first
-    failing block builds the full mask, to name the witness.  A float sum
-    that overflows to inf cannot violate, so overflow is not reported.  A
-    one-point matrix needs no special case: every slack of its row screen
-    is 0, so the screen keeps no row.
+    some k.
+
+    The kept rows are relaxed in blocks, one ``fmin`` reduction over j of
+    ``a[i, j] + b[k, j]`` per block, with ``b = a.T`` so that each k reads
+    a contiguous row.  When ``a`` equals its transpose exactly (always in
+    exact mode, where ``validate_grid`` checks symmetry with tolerance 0
+    first) ``b`` is ``a`` and a block starting at row ``k0`` needs only
+    the columns k >= k0: the slack of (i, j, k) is ``a[i, j] + a[j, k] -
+    a[i, k]`` and that of (k, j, i) is ``a[k, j] + a[j, i] - a[k, i]``,
+    the same operands in the same order, so the same bits.  A row i >= k0
+    that failed only at some k < k0 would make row k fail, and row k
+    either lies in an earlier block, which did not fail, or was dropped by
+    the sound screen.  A matrix asymmetric by any amount, such as a float
+    one within ``tol``, reads every column (k0 = 0).  A block takes
+    ``max(1, 65536 // (n * (n - k0)))`` rows: at most 65536 sums (512 KB
+    of 8-byte entries) unless one row holds more, so a block stays in
+    cache and its memory is bounded, while a small matrix takes few numpy
+    calls.  Only the first failing row of the first failing block builds
+    the full (j, k) mask, to name the witness.  A float sum that overflows
+    to inf cannot violate, so overflow is not reported.  A one-point
+    matrix needs no special case: every slack of its row screen is 0, so
+    the screen keeps no row.
     """
     n = len(a)
     sums = a.copy()
@@ -305,11 +318,17 @@ def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] 
         np.subtract(np.add(r[:, None], c, out=sums), a, out=sums)
         rows = np.flatnonzero((sums < -threshold).any(axis=1))
         del sums  # so that a one-row block of a large matrix takes its place
-        step = max(1, 65536 // n**2)
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            low = np.fmin.reduce(a[block, :, None] + a, axis=1)
-            failing = (low - a[block] < -threshold).any(axis=1)
+        if not len(rows):  # as for a uniformly discrete matrix; skip the symmetry test
+            return None
+        symmetric = (a == a.T).all()
+        b = a if symmetric else a.T.copy()
+        start = 0
+        while start < len(rows):
+            k0 = int(rows[start]) if symmetric else 0
+            block = rows[start : start + max(1, 65536 // (n * (n - k0)))]
+            start += len(block)
+            low = np.fmin.reduce(a[block, None, :] + b[k0:], axis=2)
+            failing = (low - a[block, k0:] < -threshold).any(axis=1)
             if failing.any():
                 i = int(block[failing.argmax()])
                 bad = a[i, :, None] + a - a[i, None, :] < -threshold
@@ -386,26 +405,48 @@ def _on_lattice(
 
 
 def _ratio_extreme(num: np.ndarray, den: np.ndarray, largest: bool) -> Number:
-    """The max (``largest``) or min of ``num / den``; num >= 0, den > 0.
+    """The max (``largest``) or min of ``num / den``; num >= 0, den > 0;
+    the one-row case of ``_ratio_extremes``."""
+    return _ratio_extremes(num[None], den, largest)[0]
+
+
+def _ratio_extremes(num: np.ndarray, den: np.ndarray, largest: bool) -> List[Number]:
+    """For each row of ``num``, the max (``largest``) or min of
+    ``row / den``; num >= 0, den > 0.
 
     Float arrays divide in IEEE double.  Integer arrays are prefiltered in
     float64, whose rounding of an integer or a quotient is correct, so the
-    exact extreme is among the quotients within a relative 1e-9 of the
-    float one; those few are settled by cross-multiplying Python ints, and
-    only the winner becomes a Fraction.
+    exact extreme of a row is among its quotients within a relative 1e-9
+    of the float one.  Many candidates can spell one ratio (every pair on
+    a geodesic through a Fréchet coordinate's point has slope 1), so they
+    are settled for all rows at once, not one pair at a time: each row
+    starts from its first candidate and moves to one that is strictly
+    better, by exact cross-multiplication, until no row has a better one;
+    each move raises (or lowers) the row's ratio, so this ends.  When
+    every row has one candidate there is nothing to settle.  Cross
+    products run in int64 when none can overflow it and on Python ints
+    otherwise; only each row's winner becomes a Fraction.
     """
     q = np.asarray(num / den, dtype=float)
-    best = q.max() if largest else q.min()
+    best = q.max(axis=1) if largest else q.min(axis=1)
     if num.dtype == float:
-        return float(best)
-    near = np.flatnonzero(np.abs(q - best) <= 1e-9 * best)
-    sign = 1 if largest else -1
-    ps, qs = num[near].tolist(), den[near].tolist()
-    bp, bq = ps[0], qs[0]
-    for x, y in zip(ps, qs):
-        if sign * (x * bq - bp * y) > 0:
-            bp, bq = x, y
-    return Fraction(bp, bq)
+        return best.tolist()
+    best = best[:, None]
+    rows, cols = np.nonzero(np.abs(q - best) <= 1e-9 * best)
+    p, r = num[rows, cols], den[cols]
+    if len(rows) > len(num):  # some row has rival candidates
+        if p.dtype != object and r.dtype != object and int(p.max()) * int(r.max()) >= 2**63:
+            p, r = p.astype(object), r.astype(object)
+        better = np.greater if largest else np.less
+        k = np.searchsorted(rows, np.arange(len(num)))  # each row's first candidate
+        while True:
+            at = k[rows]
+            moves = np.flatnonzero(better(p * r[at], p[at] * r))
+            if not len(moves):
+                break
+            k[rows[moves]] = moves  # any strictly better candidate will do
+        p, r = p[k], r[k]
+    return list(map(Fraction, p.tolist(), r.tolist()))
 
 
 def lip_constant(values: Sequence[Number], space: FiniteMetricSpace) -> Number:
@@ -423,8 +464,7 @@ def _lips(v: np.ndarray, d: np.ndarray) -> List[Number]:
     """The best Lipschitz constant of each row of ``v``, with ``v`` and the
     distances ``d`` of at least two points on one lattice (``_on_lattice``)."""
     i, j = _upper_pairs(len(d))
-    dij = d[i, j]
-    return [_ratio_extreme(np.abs(x[i] - x[j]), dij, largest=True) for x in v]
+    return _ratio_extremes(np.abs(v[:, i] - v[:, j]), d[i, j], largest=True)
 
 
 @lru_cache(maxsize=1)

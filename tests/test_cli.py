@@ -472,6 +472,32 @@ def test_non_utf8_file_is_parse_error(capsys, tmp_path, line_files, where):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
 
 
+def _reader_rejects_nul():
+    try:
+        list(csv.reader(["1\0,2"]))
+    except csv.Error:  # Python 3.10
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cell", ["9" * 140000, "1\x002"], ids=["field past the limit", "NUL byte"])
+def test_malformed_csv_is_an_input_error(capsys, tmp_path, line_files, cell):
+    # csv.reader raises csv.Error for a field longer than
+    # csv.field_size_limit(), and Python 3.10's for a NUL byte; Python
+    # 3.11's reads the NUL, and the cell then fails to parse as a number.
+    # Either way the file is bad input, exit 2.
+    space, phi = line_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"0,a\n0,{cell}\n{cell},0\n")
+    assert cli.main(["norm", "--input", str(bad), "--functional", str(phi)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    if "\0" in cell and not _reader_rejects_nul():
+        assert error["type"] == "SchemaMismatch"
+    else:
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"{bad} is not valid CSV: ")
+
+
 def _sha256(*paths):
     h = hashlib.sha256()
     for path in paths:

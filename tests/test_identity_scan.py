@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCAN = ROOT / "tools" / "identity_scan.py"
-FAMILIES = ["validate_metric", "load_space", "embedding", "transport", "monotonicity", "cli"]
+FAMILIES = ["validate_metric", "load_space", "embedding", "transport", "monotonicity", "cli", "csv"]
 
 
 def _scan(a, b):

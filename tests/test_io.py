@@ -7,6 +7,7 @@ import random
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -558,3 +559,62 @@ def test_non_finite_distance_is_named_in_both_modes(tmp_path, cell):
                 build()
             outcomes.add((type(exc.value), str(exc.value), exc.value.witness))
     assert outcomes == {(NonFiniteDistance, "dist[1][3] is not finite", (1, 3))}
+
+
+def _reader_rows(path, text):
+    """Every non-blank row ``csv.reader`` reads from ``text``, its
+    ``csv.Error`` as the ``ParseError`` that ``load_space`` raises: the
+    reference for ``io._csv_rows``, which splits plain text itself."""
+    try:
+        return [row for row in csv.reader(stdio.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise lfio.ParseError(f"{path} is not valid CSV: {exc}") from exc
+
+
+_CSV_TOKENS = ["0", "1", "2", "3", "1.5", "-1", "0.", ".5", "1/2", " 2", "2 ", "", "-", ".", "1e3",
+               '"1"', '"1,2"', '""', '"', "1\0", "\0", "12345678901234567", "1" * 40]
+
+
+def _rows_outcome(read, path, text):
+    try:
+        return read(str(path), text)
+    except lfio.ParseError as exc:
+        return str(exc)
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV-like texts: a label row and rows of tokens, some square and
+    numeric, with blank lines, trailing commas, ragged rows, CR or CRLF
+    endings, quotes, NUL bytes and fields past a lowered field limit; or
+    free text over the same characters."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet='0123456789.,- \n\r"\0', max_size=80))
+    n = draw(st.integers(1, 4))
+    width = st.integers(max(0, n - 1), n + 1) if draw(st.booleans()) else st.just(n)
+    lines = [",".join(f"p{i}" for i in range(n))]
+    for _ in range(draw(st.integers(0, n + 1))):
+        cells = draw(st.lists(st.sampled_from(_CSV_TOKENS), min_size=draw(width), max_size=n + 1))
+        lines.append(",".join(cells) + draw(st.sampled_from(["", "", ","])))
+        lines += [""] * draw(st.integers(0, 1))
+    return draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+def test_csv_split_matches_the_reader(text):
+    # A lowered field limit puts lines and fields past it within reach.
+    limit = csv.field_size_limit(16)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_bytes(text.encode())
+            read = path.read_text()  # as load_space reads it: CR and CRLF become LF
+            for t in {text, read}:
+                assert _rows_outcome(lfio._csv_rows, path, t) == _rows_outcome(_reader_rows, path, t)
+            for exact in (None, True, False):
+                outcome = _load_outcome(lambda: lfio.load_space(str(path), exact=exact))
+                with mock.patch.object(lfio, "_csv_rows", _reader_rows):
+                    assert _load_outcome(lambda: lfio.load_space(str(path), exact=exact)) == outcome
+    finally:
+        csv.field_size_limit(limit)

@@ -30,6 +30,7 @@ from lipfree.metric import (
     _lattice,
     _pinned_envelope,
     _ratio_extreme,
+    _ratio_extremes,
     _triangle_witness,
     validate_grid,
 )
@@ -673,47 +674,80 @@ def _shifted_line(n, rng):
     return a, t
 
 
+def _blocks(kept, n):
+    """The kept rows in the blocks that ``_triangle_witness`` relaxes on a
+    symmetric matrix: a block starting at row k0 takes
+    ``max(1, 65536 // (n * (n - k0)))`` rows."""
+    blocks, start = [], 0
+    while start < len(kept):
+        step = max(1, 65536 // (n * (n - kept[start])))
+        blocks.append(kept[start : start + step])
+        start += step
+    return blocks
+
+
 @pytest.mark.parametrize("n", range(1, 141))
 def test_triangle_blocks_report_the_first_failing_row(n):
-    # Kept rows are relaxed in blocks of max(1, 65536 // n²).  A broken
-    # pair (i, k), i < k, makes rows i and k fail and no other, so when both
-    # sit in one block the witness must come from i, the block's first
-    # failing row.  Scenario by n: i first, in the middle or last of its
-    # block, or a row the screen drops until the break; int64, float and
-    # Python-int (past 2**62) grids; thresholds 0 and positive.
+    # On a symmetric matrix a block reads only the columns k >= k0, its
+    # first row.  A broken pair (i, k) makes rows i and k fail and no
+    # other, so the witness must come from min(i, k) wherever k lies:
+    # before k0, at it or after it, with i the first, a middle or the last
+    # row of its block, or a row the screen drops until the break.  Grids:
+    # int64, float, Python int (past 2**62), and the float grid one ulp off
+    # symmetric in one entry, which reads every column; thresholds 0 and
+    # positive.
     rng = np.random.default_rng(n)
     base, t = _shifted_line(n, rng)
-    scenario = ("first", "middle", "last", "dropped")[n % 4]
-    threshold = (0, 5)[n // 4 % 2]
+    place, partner = divmod(n % 10, 3)  # place 3: a dropped row
+    threshold = (0, 5)[n // 10 % 2]
     kept = _kept_rows(base, threshold)
-    step = max(1, 65536 // n**2)
-    blocks = [kept[s : s + step] for s in range(0, len(kept), step)]
-    pick = None
-    if blocks:
-        block = blocks[len(blocks) // 2]
-        at = {"first": 0, "middle": len(block) // 2, "last": len(block) - 1}.get(scenario)
-        if scenario == "dropped":
-            pick = next((x for x in range(n) if x not in kept), None)
-        elif len(block) >= (3 if scenario == "middle" else 1):
-            pick = block[at]
+    blocks = _blocks(kept, n)
+    assert sum(blocks, []) == kept
     a = base.copy()
-    if pick is not None and pick < n - 1:
-        i = pick
-        # The farthest later point: a[i, k] is then the minimum of neither
-        # row i nor column k, so the screen of every other row stays put.
-        k = max(range(i + 1, n), key=lambda x: (abs(int(t[i] - t[x])), -x))
-        detour = min(a[i, j] + a[j, k] for j in range(n) if j not in (i, k)) if n > 2 else None
-        if detour is not None and abs(int(t[i] - t[k])) > 0:
+    if blocks and n > 2:
+        block = blocks[len(blocks) // 2]
+        k0 = block[0]
+        if place < 3:
+            i = block[(0, len(block) // 2, -1)[place]]
+        else:
+            i = next((x for x in range(n) if x not in kept), k0)
+        others = (range(k0), [k0], range(k0 + 1, n))[partner]
+        others = [x for x in others if x != i]
+        if others:
+            # The farthest such point: a[i, k] is then no row's minimum.
+            k = max(others, key=lambda x: (abs(int(t[i] - t[x])), -x))
+            detour = min(a[i, j] + a[j, k] for j in range(n) if j not in (i, k))
             a[i, k] = a[k, i] = detour + threshold + 1
-            assert _kept_rows(a, threshold) == sorted(set(kept) | {i, k})
-            if scenario in ("first", "middle") and k in block:
-                assert block.index(i) == at  # both failing rows share i's block
-    for grid, unit in ((a, 1), (a * 2.0**-7, 2.0**-7), (a.astype(object) * (2**62 + 1), 2**62 + 1)):
-        if grid.dtype == object and n not in (3, 9, 33, 64, 65):
+    lopsided = a * 2.0**-7
+    if n > 1:
+        p, q = (int(x) for x in rng.choice(n, size=2, replace=False))
+        lopsided[p, q] = np.nextafter(lopsided[p, q], np.inf)
+    for grid, unit in ((a, 1), (a * 2.0**-7, 2.0**-7), (lopsided, 2.0**-7), (a.astype(object) * (2**62 + 1), 2**62 + 1)):
+        if grid.dtype == object and n not in (3, 9, 33, 64, 65, 128):
             continue
         witness = _triangle_reference(grid, threshold * unit)
         assert _triangle_witness(grid, threshold * unit) == witness
-        assert (witness is None) == (a == base).all()
+        if grid is not lopsided:
+            assert (witness is None) == (a == base).all()
+
+
+@pytest.mark.parametrize("i, k", [(125, 3), (70, 69), (40, 0)])
+def test_asymmetric_float_violation_left_of_the_block_start(i, k):
+    # Within tol of symmetric, d(i, k) one ulp past the threshold and d(k, i)
+    # on it: only row i fails, at a column k < i that a block starting at
+    # row i would not read if it took the matrix for symmetric.
+    tol = 2.0**-20
+    a = _dyadic_metric(128, seed=i)
+    detour = min(a[i, j] + a[j, k] for j in range(128) if j not in (i, k))
+    a[i, k] = a[k, i] = detour + tol
+    assert _triangle_witness(a, tol) is None
+    a[i, k] = np.nextafter(detour + tol, 2.0)
+    witness = _triangle_reference(a, tol)
+    assert witness is not None and witness[0] == i and witness[2] == k
+    assert _triangle_witness(a, tol) == witness
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(a.tolist(), exact=False, tol=tol)
+    assert exc.value.witness == witness
 
 
 def test_ratio_extreme_settles_ties_in_integers():
@@ -739,6 +773,54 @@ def test_ratio_extreme_settles_ties_in_integers():
             arrays = np.array(num, dtype=dtype), np.array(den, dtype=dtype)
             assert repr(_ratio_extreme(*arrays, largest=True)) == repr(max(fractions))
             assert repr(_ratio_extreme(*arrays, largest=False)) == repr(min(fractions))
+
+
+def _ratio_extreme_loop(num, den, largest):
+    """The per-row settle loop ``_ratio_extremes`` replaced: the float
+    prefilter, then one cross-multiplication of Python ints per candidate."""
+    q = np.asarray(num / den, dtype=float)
+    best = q.max() if largest else q.min()
+    near = np.flatnonzero(np.abs(q - best) <= 1e-9 * best)
+    sign = 1 if largest else -1
+    ps, qs = num[near].tolist(), den[near].tolist()
+    bp, bq = ps[0], qs[0]
+    for x, y in zip(ps, qs):
+        if sign * (x * bq - bp * y) > 0:
+            bp, bq = x, y
+    return F(bp, bq)
+
+
+def test_ratio_extremes_match_the_settle_loop_on_ties():
+    # Rows where most pairs tie at one ratio spelled many ways (as slope 1
+    # does on a Fréchet coordinate), with near ties below float resolution
+    # and zero numerators; int64 rows, rows whose cross products pass
+    # int64 (settled on Python ints), and object rows past 2**62.
+    rng = random.Random(25)
+    for trial in range(200):
+        m, rows = rng.randint(1, 60), rng.randint(1, 6)
+        den = [rng.choice([1, 2, 3, 6, 12]) * rng.choice([1, 7, 10**6]) for _ in range(m)]
+        if trial % 4 == 1:
+            den = [y * 10**9 + rng.choice([0, 1]) for y in den]
+        num = []
+        for _ in range(rows):
+            # Ties at p/q, the other entries on one side of it, so that the
+            # ties hold the max (below) or the min (above).
+            p, q = rng.choice([(1, 1), (2, 3), (0, 1), (5, 7)])
+            side = rng.choice([-1, 1])
+            row = [y * p // q if rng.random() < 0.8 else y * p // q + side * rng.randint(0, y * p // q) for y in den]
+            if p and rng.random() < 0.5:  # a near tie past the others, below float resolution on large rows
+                k = rng.randrange(m)
+                row[k] = max(0, row[k] - side * rng.choice([1, den[k] // 10**10 + 1]))
+            num.append(row)
+        dtypes = [np.int64, object] if trial % 4 != 2 else [object]
+        if trial % 4 == 2:
+            num, den = [[v * 2**62 for v in row] for row in num], [y * 2**62 + 1 for y in den]
+        for dtype in dtypes:
+            N, D = np.array(num, dtype=dtype), np.array(den, dtype=dtype)
+            for largest in (True, False):
+                expected = [_ratio_extreme_loop(row, D, largest) for row in N]
+                assert list(map(repr, _ratio_extremes(N, D, largest))) == list(map(repr, expected))
+                assert repr(_ratio_extreme(N[0], D, largest)) == repr(expected[0])
 
 
 def test_nan_entries_fail_before_the_triangle_check():

@@ -23,10 +23,15 @@ both trees answer the same questions.  Families:
   geodesic and reversed-geodesic pair sets in both modes, and the extremal
   potentials of the geodesic sets;
 - ``cli``: exit code, stdout and stderr of the argument sets of selftest
-  criterion C12 on exact JSON and float CSV spaces.
+  criterion C12 on exact JSON and float CSV spaces;
+- ``csv``: ``load_space`` in each mode on odd CSV texts (quotes, CR and
+  CRLF endings, NUL bytes, blank lines, trailing commas, ragged rows, a
+  field past ``csv.field_size_limit()`` and a long line of short fields,
+  and random texts over those characters), and ``norm``, ``coupling`` and
+  ``decompose`` on float CSV spaces of 65 to 128 points.
 
 ``--scale tiny`` takes about a second per tree and ``--scale full`` about
-half a minute, on a 2-core Linux VM.
+40 seconds for two trees, on a 2-core Linux VM.
 """
 
 from __future__ import annotations
@@ -44,14 +49,16 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-FAMILIES = ("validate_metric", "load_space", "embedding", "transport", "monotonicity", "cli")
+FAMILIES = ("validate_metric", "load_space", "embedding", "transport", "monotonicity", "cli", "csv")
 
 #: Per scale: sizes of the validation matrices and of the exact and float
-#: solver spaces, the seeds per size, and the largest pair set.
+#: solver spaces, the seeds per size, the largest pair set, the number of
+#: random CSV texts, and the float CSV spaces with the functionals on each.
 SCALES = {
-    "tiny": {"validate": (3, 9), "exact": (6,), "float": (66,), "seeds": 1, "pairs": 12},
+    "tiny": {"validate": (3, 9), "exact": (6,), "float": (66,), "seeds": 1, "pairs": 12, "csv_texts": 8,
+             "csv": (66,), "csv_functionals": 1},
     "full": {"validate": (3, 9, 20, 33, 64, 65, 130), "exact": (8, 20, 40, 64), "float": (66, 100, 128), "seeds": 3,
-             "pairs": 40},
+             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24},
 }
 
 
@@ -178,6 +185,45 @@ def _pair_sets(space, rng, size):
     return out
 
 
+#: Hand-written CSV texts: (name, text).
+_ODD_CSV = [
+    ("plain", "a,b\n0,1\n1,0\n"),
+    ("no final newline", "a,b\n0,1\n1,0"),
+    ("CRLF", "a,b\r\n0,1\r\n1,0\r\n"),
+    ("CR", "a,b\r0,1\r1,0\r"),
+    ("blank lines", "\na,b\n\n0,1\n\n\n1,0\n\n"),
+    ("spaces", "a , b\n 0,1 \n1 ,0\n"),
+    ("trailing commas", "a,b,\n0,1,\n1,0,\n"),
+    ("ragged", "a,b,c\n0,1,2\n1,0\n2,1,0\n"),
+    ("quoted cells", 'a,b\n"0","1"\n"1",0\n'),
+    ("quoted comma", '"a,x",b\n0,"1,5"\n"1,5",0\n'),
+    ("quoted newline", '"a\nx",b\n0,1\n1,0\n'),
+    ("stray quote", 'a,b\n0,1"\n1,0\n'),
+    ("NUL in a cell", "a,b\n0,1\0\n1\0,0\n"),
+    ("NUL in a label", "a\0,b\n0,1\n1,0\n"),
+    ("decimals", "a,b,c\n0,.5,1.\n.5,0,0.5\n1.,0.5,0\n"),
+    ("negative", "a,b\n0,-1\n-1,0\n"),
+    ("dash", "a,b\n0,-\n-,0\n"),
+    ("empty cells", "a,b\n0,\n,0\n"),
+    ("field past the limit", "a,b\n0," + "9" * 140000 + "\n" + "9" * 140000 + ",0\n"),
+    ("long line of short fields", "a" * 70000 + "," + "b" * 70000 + "\n0,1\n1,0\n"),
+]
+
+
+def _random_csv(rng):
+    """A CSV-like text over digits, ``.``, ``,``, ``-``, space, CR, LF, quote
+    and NUL: a label row and rows of 0-4 cells, some of them square."""
+    n = int(rng.integers(1, 4))
+    tokens = ["0", "1", "2", "1.5", "-1", ".5", " 2", "", "-", '"1"', '"1,2"', '"', "1\0", "3/2"]
+    lines = [",".join(f"p{i}" for i in range(n))]
+    for _ in range(int(rng.integers(0, n + 2))):
+        width = n if rng.random() < 0.6 else int(rng.integers(0, n + 2))
+        lines.append(",".join(tokens[int(k)] for k in rng.integers(0, len(tokens), size=width)))
+        if rng.random() < 0.2:
+            lines.append("")
+    return str(rng.choice(["\n", "\n", "\r\n", "\r"])).join(lines) + str(rng.choice(["\n", ""]))
+
+
 def _cli(main, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -245,6 +291,21 @@ def corpus(scale):
             ):
                 yield "cli", " ".join(argv), _cli(cli.main, argv)
     yield "cli", "gen-exotic --N 32", _cli(cli.main, ["gen-exotic", "--N", "32"])
+
+    texts = _ODD_CSV + [(f"random{k}", _random_csv(rng)) for k in range(sizes["csv_texts"])]
+    for name, text in texts:
+        Path("odd.csv").write_bytes(text.encode())
+        for mode in (None, True, False):
+            yield "csv", f"{name}/exact={mode}", _outcome(lambda: _space_key(lfio.load_space("odd.csv", exact=mode)))
+    for n in sizes["csv"]:
+        _, path = _write_space(f"csv{n}", [[v / 12 for v in r] for r in _closure(n, rng)])
+        for k in range(sizes["csv_functionals"]):
+            support = sorted(int(x) for x in rng.choice(range(1, n), size=int(rng.integers(2, n)), replace=False))
+            coeffs = {f"p{i}": float(rng.choice([-4, -2, -1, 1, 2, 4])) / float(rng.choice([1, 3])) for i in support}
+            Path("phi.json").write_text(json.dumps({"coeffs": coeffs}))
+            for command in ("norm", "coupling", "decompose"):
+                argv = [command, "--input", path, "--functional", "phi.json"]
+                yield "csv", f"{n}/{k}/{command}", _cli(cli.main, argv)
 
 
 def _run_corpus(scale):
