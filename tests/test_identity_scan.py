@@ -1,5 +1,6 @@
 """``tools/identity_scan.py`` end to end on its tiny corpus: this tree
-against itself agrees, and a tree that answers differently is named."""
+against itself agrees, and a tree that answers differently in one family
+is reported with that family's differing cases and no other family."""
 
 import resource
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCAN = ROOT / "tools" / "identity_scan.py"
-FAMILIES = ["validate_metric", "load_space", "embedding", "transport", "monotonicity", "cli", "csv"]
+FAMILIES = ["validate_metric", "load_space", "embedding", "transport", "monotonicity", "metric", "cli", "csv"]
 
 
 def _scan(a, b):
@@ -39,15 +40,20 @@ def test_tiny_scan_of_one_tree_twice_agrees():
     assert lines[-1] == "identical"
 
 
-def test_tiny_scan_names_the_first_differing_case(tmp_path):
-    # A tree whose default tolerance differs answers every float space,
-    # and so the first case of the first family, differently.
+def test_tiny_scan_reports_each_differing_case_of_one_family(tmp_path):
+    # Only the cli family's check-monotone commands write a certificate
+    # document: two spaces of the tiny corpus, each as JSON and CSV.
     shutil.copytree(ROOT / "src" / "lipfree", tmp_path / "lipfree", ignore=shutil.ignore_patterns("__pycache__"))
-    numerics = tmp_path / "lipfree" / "numerics.py"
-    text = numerics.read_text()
-    assert text.count("DEFAULT_TOLERANCE = 1e-9") == 1
-    numerics.write_text(text.replace("DEFAULT_TOLERANCE = 1e-9", "DEFAULT_TOLERANCE = 2e-9"))
+    io_py = tmp_path / "lipfree" / "io.py"
+    text = io_py.read_text()
+    old = 'doc: Dict[str, Any] = {"monotone": cert.monotone}'
+    assert text.count(old) == 1
+    io_py.write_text(text.replace(old, 'doc: Dict[str, Any] = {"monotone": cert.monotone, "mutant": 1}'))
     proc = _scan(ROOT / "src", tmp_path)
     assert proc.returncode == 1, proc.stderr
-    assert proc.stdout.splitlines()[0].endswith("DIFFERENT")
-    assert proc.stdout.splitlines()[-1].startswith("first difference: validate_metric case 0: ")
+    lines = proc.stdout.splitlines()
+    verdicts = {line.split()[0]: line.split()[-1] for line in lines[: len(FAMILIES)]}
+    assert verdicts == {family: "DIFFERENT" if family == "cli" else "same" for family in FAMILIES}
+    assert lines[len(FAMILIES)] == "cli: 4 cases differ; the first 4:"
+    cases = lines[len(FAMILIES) + 1 :]
+    assert len(cases) == 4 and all(case.startswith("  check-monotone --input ") for case in cases)

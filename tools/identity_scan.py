@@ -7,8 +7,11 @@ that tree alone, in an empty working directory, with ``PYTHONHASHSEED=0``.
 Each case is hashed as the repr of what lipfree answers (a space, a
 report, a certificate, or an error's class, text and witness).  For each
 family the scan prints the case count and one SHA-256 over its cases,
-per tree.  It exits 0 when every family agrees and 1 when one differs,
-naming the first differing case; 2 if a tree cannot run the corpus.
+per tree.  After those lines it prints, for each family that differs, how
+many of its cases differ and the first five of their names.  Cases are
+matched by name (the k-th repeat of a name as ``name #k``), so a case that
+only one tree answers counts as differing.  It exits 0 when every family
+agrees and 1 when one differs; 2 if a tree cannot run the corpus.
 
 The corpus is built here with ``random`` and numpy, never with lipfree, so
 both trees answer the same questions.  Families:
@@ -17,11 +20,19 @@ both trees answer the same questions.  Families:
   axiom, triangles, non-finite and non-numeric cells) in exact, float and
   automatic mode, the latter from JSON and CSV files;
 - ``embedding``: Frechet and local-search reports;
-- ``transport``: ``optimal_coupling`` results on exact, float and
-  two-distance spaces, with full and partial support;
+- ``transport``: ``optimal_coupling`` results and molecule decompositions
+  on exact, float and two-distance spaces, with full and partial support,
+  and ``functional_of``, ``apply_representation`` and
+  ``norming_functions_check`` of each result's representation and of random
+  positive and signed pair measures;
 - ``monotonicity``: cyclical-monotonicity certificates on random,
-  geodesic and reversed-geodesic pair sets in both modes, and the extremal
-  potentials of the geodesic sets;
+  geodesic and reversed-geodesic pair sets in both modes, ``cycle_slack``
+  of each violating cycle, and the extremal potentials of the geodesic
+  sets with their ``verify_extremal`` verdicts;
+- ``metric``: ``rho``, ``de_leeuw_transform``, molecules, ``daleth``,
+  ``pi_window`` and ``weighted_adjoint`` on the solver spaces, and
+  ``with_mode`` both ways on int64, ``object`` and float spaces scaled by
+  powers of two near both ends of float's range;
 - ``cli``: exit code, stdout and stderr of the argument sets of selftest
   criterion C12 on exact JSON and float CSV spaces;
 - ``csv``: ``load_space`` in each mode on odd CSV texts (quotes, CR and
@@ -37,6 +48,7 @@ both trees answer the same questions.  Families:
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -49,17 +61,22 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-FAMILIES = ("validate_metric", "load_space", "embedding", "transport", "monotonicity", "cli", "csv")
+FAMILIES = ("validate_metric", "load_space", "embedding", "transport", "monotonicity", "metric", "cli", "csv")
 
 #: Per scale: sizes of the validation matrices and of the exact and float
 #: solver spaces, the seeds per size, the largest pair set, the number of
-#: random CSV texts, and the float CSV spaces with the functionals on each.
+#: random CSV texts, the float CSV spaces with the functionals on each, and
+#: the size of the spaces scaled near the ends of float's range.
 SCALES = {
     "tiny": {"validate": (3, 9), "exact": (6,), "float": (66,), "seeds": 1, "pairs": 12, "csv_texts": 8,
-             "csv": (66,), "csv_functionals": 1},
+             "csv": (66,), "csv_functionals": 1, "scaled": 4},
     "full": {"validate": (3, 9, 20, 33, 64, 65, 130), "exact": (8, 20, 40, 64), "float": (66, 100, 128), "seeds": 3,
-             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24},
+             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24, "scaled": 12},
 }
+
+#: Powers of two that put a closure's distances near both ends of float's
+#: range: past it, subnormal, normal and near the largest float.
+_SCALE_EXPONENTS = (-1100, -1074, -1060, -1022, 0, 1000, 1017, 1030)
 
 
 # --- the corpus, run inside the child interpreter ---------------------------------
@@ -158,6 +175,40 @@ def _functional(lf, space, rng, support=None):
     if support is not None:
         points = sorted(int(x) for x in rng.choice(points, size=support, replace=False))
     return lf.Functional({i: Fraction(int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])), int(rng.choice([1, 2, 3]))) for i in points}, space)
+
+
+def _pair_measure(lf, space, rng, size, signed):
+    """A pair measure on at most ``size`` random pairs with masses k/q,
+    positive or, when ``signed``, of either sign."""
+    mass = {}
+    for _ in range(size):
+        x, y = (int(v) for v in rng.choice(space.n, size=2, replace=False))
+        m = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        mass[(x, y)] = -m if signed and rng.random() < 0.5 else m
+    return lf.PairMeasure(mass, space)
+
+
+def _measure_cases(lf, case, phi, mu, f, space):
+    """``functional_of``, ``apply_representation`` and
+    ``norming_functions_check`` of the pair measure ``mu``."""
+    yield "transport", f"{case}/functional_of", _outcome(lambda: lf.functional_of(mu, space))
+    yield "transport", f"{case}/apply", _outcome(lambda: lf.apply_representation(mu, f, space))
+    yield "transport", f"{case}/norming", _outcome(lambda: lf.norming_functions_check(phi, f, mu, space))
+
+
+def _scaled_spaces(lf, rng, n):
+    """(name, space or the error that rejects it): an int64, an ``object``
+    and a float lattice of one closure, each scaled by 2**k for k in
+    ``_SCALE_EXPONENTS``.  The float ones have integer distances times a
+    power of two, exact in float64, and tolerance 0, which a subnormal
+    distance needs to pass as nonzero."""
+    K = _closure(n, rng)
+    big = Fraction(10**20 + 39, 10**19 + 7)
+    for k in _SCALE_EXPONENTS:
+        s = Fraction(2) ** k
+        yield f"int{n}*2**{k}", _outcome(lambda: lf.validate_metric([[Fraction(v, 12) * s for v in r] for r in K], exact=True))
+        yield f"big{n}*2**{k}", _outcome(lambda: lf.validate_metric([[v * big * s for v in r] for r in K], exact=True))
+        yield f"float{n}*2**{k}", _outcome(lambda: lf.validate_metric([[float(v * s) for v in r] for r in K], exact=False, tol=0.0))
 
 
 def _pair_sets(space, rng, size):
@@ -265,18 +316,55 @@ def corpus(scale):
             yield "embedding", f"{name}/search{dim}", _outcome(lambda: lf.best_embedding_search(dim, space, iterations=30, seed=dim))
         for support in (None, 2, space.n // 3):
             phi = _functional(lf, space, rng, support)
-            yield "transport", f"{name}/support={support}", _outcome(lambda: lf.optimal_coupling(phi, space))
+            case = f"{name}/support={support}"
+            result = lf.optimal_coupling(phi, space)
+            yield "transport", case, result
+            yield "transport", f"{case}/decomposition", _outcome(lambda: lf.molecule_decomposition(phi, space))
+            yield from _measure_cases(lf, case, phi, result.representation, result.potential, space)
+            if support is None:
+                full, potential = phi, result.potential
+        for signed in (False, True):
+            mu = _pair_measure(lf, space, rng, sizes["pairs"], signed)
+            phi = _outcome(lambda: lf.functional_of(mu, space))
+            yield from _measure_cases(lf, f"{name}/measure/signed={signed}", phi, mu, potential, space)
+
+        yield "metric", f"{name}/rho", _outcome(lambda: lf.rho(space))
+        for f_name, f in (("rho", lf.rho(space)), ("potential", potential)):
+            yield "metric", f"{name}/de_leeuw/{f_name}", _outcome(lambda: lf.de_leeuw_transform(f, space))
+        for x, y in (rng.choice(space.n, size=2, replace=False) for _ in range(4)):
+            yield "metric", f"{name}/molecule/{x},{y}", _outcome(lambda: lf.molecule(int(x), int(y), space))
+        for level in range(-5, 4):
+            h = _outcome(lambda: lf.daleth(level, space))
+            yield "metric", f"{name}/daleth/{level}", h
+            yield "metric", f"{name}/adjoint/{level}", _outcome(lambda: lf.weighted_adjoint(full, h, space))
+            if level > 0:
+                yield "metric", f"{name}/pi_window/{level}", _outcome(lambda: lf.pi_window(level, space))
+
         for mode_space in (space, space.with_mode(exact=not space.exact)) if space.exact else (space,):
             for set_name, pairs in _pair_sets(mode_space, rng, sizes["pairs"]):
                 pair_set = lf.PairSet.of(pairs, mode_space)
                 case = f"{name}/exact={mode_space.exact}/{set_name}"
-                yield "monotonicity", case, _outcome(lambda: lf.check_cyclically_monotone(pair_set, mode_space))
+                certificate = lf.check_cyclically_monotone(pair_set, mode_space)
+                yield "monotonicity", case, certificate
+                if not certificate.monotone:
+                    yield "monotonicity", f"{case}/slack", _outcome(lambda: lf.cycle_slack(certificate.cycle, mode_space))
                 if set_name == "geodesic":
-                    yield "monotonicity", case + "/extremal", _outcome(lambda: lf.build_extremal_potential(pair_set, mode_space))
+                    f = _outcome(lambda: lf.build_extremal_potential(pair_set, mode_space))
+                    yield "monotonicity", f"{case}/extremal", f
+                    yield "monotonicity", f"{case}/verify", _outcome(lambda: lf.verify_extremal(f, pair_set, mode_space))
+
+    for name, space in _scaled_spaces(lf, rng, sizes["scaled"]):
+        for step in ("", "/with_mode", "/with_mode/back"):
+            if step:
+                space = _outcome(lambda: space.with_mode(exact=not space.exact))
+            if not isinstance(space, lf.FiniteMetricSpace):  # the error is the answer
+                yield "metric", name + step, space
+                break
+            yield "metric", name + step, _space_key(space)
 
     for name, space in spaces[:2] if scale == "tiny" else spaces:
-        labels = space.labels
         files = _write_space(f"cli_{name}", space.dist)
+        labels = [f"p{i}" for i in range(space.n)]  # as _write_space names the points
         phi = _functional(lf, space, rng, support=min(4, space.n - 1))
         Path("phi.json").write_text(json.dumps({"coeffs": {labels[i]: float(c) for i, c in sorted(phi.coeffs.items())}}))
         Path("pairs.json").write_text(json.dumps({"pairs": [[labels[1], labels[2]], [labels[2], labels[1]]]}))
@@ -343,6 +431,16 @@ def _parse(src, out):
     return cases
 
 
+def _by_name(cases):
+    """{case name: digest}, the k-th repeat of a name (k > 1) as ``name #k``."""
+    seen = collections.Counter()
+    named = {}
+    for case, digest in cases:
+        seen[case] += 1
+        named[case if seen[case] == 1 else f"{case} #{seen[case]}"] = digest
+    return named
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Compare lipfree's answers between two source trees.")
     parser.add_argument("--src", action="append", type=Path, help="a source tree (the directory holding lipfree/); give two")
@@ -364,17 +462,21 @@ def main(argv=None):
     if None in results:
         return 2
     a, b = results
+    differing = []
     for family in FAMILIES:
         digests = [hashlib.sha256("".join(f"{c}\t{d}\n" for c, d in r[family]).encode()).hexdigest() for r in (a, b)]
         verdict = "same" if digests[0] == digests[1] else "DIFFERENT"
         print(f"{family:16s} {len(a[family]):5d} / {len(b[family]):5d} cases  {digests[0]}  {digests[1]}  {verdict}")
-    for family in FAMILIES:
-        for k in range(max(len(a[family]), len(b[family]))):
-            x = a[family][k] if k < len(a[family]) else None
-            y = b[family][k] if k < len(b[family]) else None
-            if x != y:
-                print(f"first difference: {family} case {k}: {x[0] if x else '(none)'} vs {y[0] if y else '(none)'}")
-                return 1
+        if verdict != "same":
+            differing.append(family)
+    for family in differing:
+        x, y = _by_name(a[family]), _by_name(b[family])
+        names = [case for case in {**x, **y} if x.get(case) != y.get(case)]
+        print(f"{family}: {len(names)} cases differ; the first {min(5, len(names))}:")
+        for case in names[:5]:
+            print(f"  {case}")
+    if differing:
+        return 1
     print("identical")
     return 0
 
