@@ -6,13 +6,15 @@ Functional: {"coeffs": {"label": number, ...}}.
 Pair set: {"pairs": [["x", "y"], ...]}.
 
 Numbers in input files are JSON numbers or strings: "p/q", integer or
-decimal.  A CSV file is read as ``csv.reader`` reads it, blank lines
-skipped.  Text with no quote, carriage return or NUL byte and no line
-longer than ``csv.field_size_limit()``, such as every file ``space_csv``
-writes, is split at each newline and comma directly, which is what the
-reader would do; any other text goes through the reader, whose
-``csv.Error`` (a field past the limit, or a NUL byte on Python 3.10) is a
-``ParseError``.  A distance matrix is read in one pass (``load_space``):
+decimal.  CSV text that holds a NUL byte is a ``ParseError`` on every
+Python version, wherever the NUL sits (a label, a cell, a quoted field).
+Other CSV text is read as ``csv.reader`` reads it, blank lines skipped.
+Text with no quote or carriage return and no line longer than
+``csv.field_size_limit()``, such as every file ``space_csv`` writes, is
+split at each newline and comma directly, which is what the reader would
+do; any other text goes through the reader, whose ``csv.Error`` (a field
+past the limit) is a ``ParseError``.  A distance matrix is read in one
+pass (``load_space``):
 
 - its cells go into a table of distinct cells, first occurrences first,
   keyed by value, or by type and value when the cells' types mix (the
@@ -154,16 +156,19 @@ def load_space(
 
 def _csv_rows(path: str, text: str) -> List[List[str]]:
     """The non-blank rows ``csv.reader`` reads from ``text``; its
-    ``csv.Error`` (a field past ``csv.field_size_limit()``, or on Python
-    3.10 a NUL byte) is a ``ParseError``.
+    ``csv.Error`` (a field past ``csv.field_size_limit()``) is a
+    ``ParseError``, and so is any NUL byte in ``text``, which Python 3.10's
+    reader rejects and later ones read as a character.
 
-    Text with no quote, carriage return or NUL, and no line longer than
-    the field limit, is what the reader would just cut at each ``\\n`` and
+    Text with no quote or carriage return, and no line longer than the
+    field limit, is what the reader would just cut at each ``\\n`` and
     each comma, so it is split directly.  The reader reads a blank line as
     [], which is no row of the matrix.
     """
+    if "\0" in text:
+        raise ParseError(f"{path} is not valid CSV: it holds a NUL byte")
     lines = text.split("\n")
-    if not ('"' in text or "\r" in text or "\0" in text) and max(map(len, lines)) <= csv.field_size_limit():
+    if not ('"' in text or "\r" in text) and max(map(len, lines)) <= csv.field_size_limit():
         return [line.split(",") for line in lines if line]
     try:
         return [row for row in csv.reader(_stdio.StringIO(text)) if row]

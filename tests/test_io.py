@@ -563,8 +563,11 @@ def test_non_finite_distance_is_named_in_both_modes(tmp_path, cell):
 
 def _reader_rows(path, text):
     """Every non-blank row ``csv.reader`` reads from ``text``, its
-    ``csv.Error`` as the ``ParseError`` that ``load_space`` raises: the
-    reference for ``io._csv_rows``, which splits plain text itself."""
+    ``csv.Error`` as the ``ParseError`` that ``load_space`` raises, and a
+    text with a NUL byte rejected first: the reference for
+    ``io._csv_rows``, which splits plain text itself."""
+    if "\0" in text:
+        raise lfio.ParseError(f"{path} is not valid CSV: it holds a NUL byte")
     try:
         return [row for row in csv.reader(stdio.StringIO(text)) if row]
     except csv.Error as exc:
@@ -618,3 +621,15 @@ def test_csv_split_matches_the_reader(text):
                     assert _load_outcome(lambda: lfio.load_space(str(path), exact=exact)) == outcome
     finally:
         csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("text", ["a\0,b\n0,1\n1,0\n", "a,b\n0,1\0\n1\0,0\n", 'a,b\n"0\0",1\n1,0\n'],
+                         ids=["label", "cell", "quoted field"])
+@pytest.mark.parametrize("exact", [None, True, False])
+def test_nul_byte_in_csv_is_a_parse_error(tmp_path, text, exact):
+    # Python 3.10's csv.reader raises for a NUL and 3.11's reads it as a
+    # character, so the NUL is rejected before the reader sees the text.
+    path = tmp_path / "nul.csv"
+    path.write_text(text)
+    with pytest.raises(lfio.ParseError, match="is not valid CSV: it holds a NUL byte"):
+        lfio.load_space(str(path), exact=exact)
