@@ -6,15 +6,14 @@ Functional: {"coeffs": {"label": number, ...}}.
 Pair set: {"pairs": [["x", "y"], ...]}.
 
 Numbers in input files are JSON numbers or strings: "p/q", integer or
-decimal.  CSV text that holds a NUL byte is a ``ParseError`` on every
-Python version, wherever the NUL sits (a label, a cell, a quoted field).
-Other CSV text is read as ``csv.reader`` reads it, blank lines skipped.
-Text with no quote or carriage return and no line longer than
-``csv.field_size_limit()``, such as every file ``space_csv`` writes, is
-split at each newline and comma directly, which is what the reader would
-do; any other text goes through the reader, whose ``csv.Error`` (a field
-past the limit) is a ``ParseError``.  A distance matrix is read in one
-pass (``load_space``):
+decimal.  CSV text with a NUL byte anywhere is a ``ParseError`` on every
+Python version; other CSV text is read as ``csv.reader`` reads it, blank
+lines skipped.  Text with no quote or carriage return and no line longer
+than ``csv.field_size_limit()``, such as every file ``space_csv`` writes,
+is split at each newline and comma directly, which is what the reader
+would do; any other text goes through the reader, whose ``csv.Error`` (a
+field past the limit) is a ``ParseError``.  A distance matrix is read in
+one pass (``load_space``):
 
 - its cells go into a table of distinct cells, first occurrences first,
   keyed by value, or by type and value when the cells' types mix (the
@@ -277,10 +276,9 @@ def _distinct_text(space: FiniteMetricSpace) -> Tuple[List[str], np.ndarray]:
     each cell the index of its entry among them: exact entries losslessly
     (``exact_repr``), float ones at 12 significant digits as ``round12``
     writes them, all by one ``%``."""
-    a, scale = space.grid
-    values, where = _distinct(a, space.exact)
+    values, where = _distinct(*space.grid, space.exact)
     if space.exact:
-        return [exact_repr(Fraction(v, scale)) for v in values], where
+        return list(map(exact_repr, values)), where
     return (" ".join(["%.12g"] * len(values)) % tuple(values)).split(" "), where
 
 

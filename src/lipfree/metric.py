@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,8 @@ class FiniteMetricSpace:
     ``grid`` is the stored matrix: a read-only array and its scale.  Exact
     mode: the distances times the lcm of their denominators, as integers
     (see ``_lattice``).  Float mode: the distances as float64, scale 1.
+    ``dist`` is a public view; inside the library only ``d`` and
+    ``transport._solve_min_cost`` read it, and the rest read ``grid``.
     """
 
     labels: Tuple[str, ...]
@@ -147,10 +149,7 @@ class FiniteMetricSpace:
         each rounded float as its decimal literal, and those rationals can
         break a triangle: for most float ``random_space`` instances the
         result fails ``validate_grid(exact=True)`` with ``TriangleViolation``."""
-        a, scale = self.grid
-        values, where = _distinct(a, self.exact)
-        if self.exact:
-            values = [coerce(Fraction(v, scale), exact) for v in values]
+        values, where = _distinct(*self.grid, self.exact)
         return FiniteMetricSpace(self.labels, _grid_of(values, where, exact), exact, self.tol)
 
 
@@ -238,39 +237,6 @@ def validate_grid(
     return FiniteMetricSpace(labels, (a, scale), exact, tol)
 
 
-def _grid_rows(a: np.ndarray, scale: int, exact: bool) -> List[List[Number]]:
-    """``a / scale`` as nested lists: exact mode holds one
-    ``Fraction(v, scale)`` per distinct integer ``v``, float mode the
-    entries of ``a`` (scale 1) as Python floats."""
-    if not exact:
-        return a.tolist()
-    values, where = _distinct(a, True)
-    return np.array([Fraction(v, scale) for v in values], dtype=object)[where].tolist()
-
-
-def _distinct(a: np.ndarray, exact: bool) -> Tuple[List[Number], np.ndarray]:
-    """The distinct entries of a grid's array ``a``, and for each cell the
-    index of its entry among them: exact mode one Python int per lattice
-    integer, float mode one float per bit pattern (``-0.0`` too)."""
-    keys, where = np.unique((a if exact else a.view(np.int64)).ravel(), return_inverse=True)
-    return (keys if exact else keys.view(float)).tolist(), where.reshape(a.shape)
-
-
-def _grid_of(values: Sequence[Number], where: np.ndarray, exact: bool) -> Tuple[np.ndarray, int]:
-    """The grid of the matrix whose cells are ``values[where]``, each value
-    read as ``coerce`` reads it: exact mode on the lattice of ``_lattice``,
-    float mode as float64 (past float's range, ±inf) with scale 1.  Exact
-    mode raises ``NonFiniteDistance`` for the row-major first NaN or inf."""
-    if not exact:
-        return _float_array([values])[0][where], 1
-    try:
-        a, scale = _lattice([values])
-    except ValueError:
-        bad = np.array([isinstance(v, float) and not math.isfinite(v) for v in values])[where]
-        raise NonFiniteDistance(*(int(x) for x in np.argwhere(bad)[0])) from None
-    return a[0][where], scale
-
-
 def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] | None:
     """The first (i, j, k), row-major, with
     ``a[i, j] + a[j, k] - a[i, k] < -threshold``, or None; the diagonal of
@@ -337,6 +303,8 @@ def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] 
     return None
 
 
+# --- The lattice: the arrays of ``FiniteMetricSpace.grid``, and the numbers read from them ---
+
 _numerator, _denominator = operator.attrgetter("numerator"), operator.attrgetter("denominator")
 
 
@@ -345,10 +313,9 @@ def _lattice(m: Sequence[Sequence[Number]], scale: int = 1) -> Tuple[np.ndarray,
     as integers over one common denominator.
 
     Returns the matrix times ``L``, and ``L``: the lcm of ``scale`` and the
-    entries' denominators.  Numpy int64 when the sum of two entries cannot
-    overflow, an ``object`` array of Python ints otherwise; either way its
-    arithmetic is exact.  Entries that are all ``Fraction`` or ``int``
-    skip ``coerce``, and both kinds are read in C-level ``map`` passes.
+    entries' denominators, in the dtype ``_int_dtype`` picks.  Entries that
+    are all ``Fraction`` or ``int`` skip ``coerce``, and both kinds are read
+    in C-level ``map`` passes.
     """
     cells = list(itertools.chain.from_iterable(m))
     if not set(map(type, cells)) <= {Fraction, int}:
@@ -380,8 +347,50 @@ def _float_array(m: Sequence[Sequence[Number]]) -> np.ndarray:
 
 def _int_dtype(top: int) -> type:
     """int64 when the sum of two integers of magnitude ``top`` fits in it,
-    else ``object`` (Python ints)."""
+    else ``object`` (Python ints).  Every exact lattice array follows this
+    rule, so the sum or difference of two of its entries is exact."""
     return object if 2 * top >= 2**63 else np.int64
+
+
+def _grid_of(values: Sequence[Number], where: np.ndarray, exact: bool) -> Tuple[np.ndarray, int]:
+    """The grid of the matrix whose cells are ``values[where]``, each value
+    read as ``coerce`` reads it: exact mode on the lattice of ``_lattice``,
+    float mode as float64 (past float's range, ±inf) with scale 1.  Exact
+    mode raises ``NonFiniteDistance`` for the row-major first NaN or inf."""
+    if not exact:
+        return _float_array([values])[0][where], 1
+    try:
+        a, scale = _lattice([values])
+    except ValueError:
+        bad = np.array([isinstance(v, float) and not math.isfinite(v) for v in values])[where]
+        raise NonFiniteDistance(*(int(x) for x in np.argwhere(bad)[0])) from None
+    return a[0][where], scale
+
+
+def _distinct(a: np.ndarray, scale: int, exact: bool) -> Tuple[List[Number], np.ndarray]:
+    """The distinct entries of the grid ``(a, scale)`` as numbers, and for
+    each cell the index of its entry among them: exact mode one
+    ``Fraction(v, scale)`` per lattice integer ``v``, float mode one float
+    per bit pattern (``-0.0`` too)."""
+    keys, where = np.unique((a if exact else a.view(np.int64)).ravel(), return_inverse=True)
+    values = [Fraction(v, scale) for v in keys.tolist()] if exact else keys.view(float).tolist()
+    return values, where.reshape(a.shape)
+
+
+def _grid_rows(a: np.ndarray, scale: int, exact: bool) -> List[List[Number]]:
+    """``a / scale`` as nested lists: exact mode holds the numbers of
+    ``_distinct``, float mode the entries of ``a`` as Python floats."""
+    if not exact:
+        return a.tolist()
+    values, where = _distinct(a, scale, True)
+    return np.array(values, dtype=object)[where].tolist()
+
+
+def _pair_distances(pairs: Iterable[Tuple[int, int]], space: FiniteMetricSpace) -> List[Number]:
+    """``space.d(x, y)`` of each pair (x, y), in one gather from ``space.grid``."""
+    a, scale = space.grid
+    xy = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 2)
+    return _grid_rows(a[xy[:, 0], xy[:, 1]], scale, space.exact)
 
 
 def _on_lattice(
@@ -389,9 +398,8 @@ def _on_lattice(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Value rows and the distance matrix as arrays over one scale.
 
-    Exact mode: both as integers (int64, or Python ints where a sum could
-    overflow), times the returned scale; numpy computes a mix of the two
-    on Python ints.
+    Exact mode: both as integers in the dtype ``_int_dtype`` picks, times
+    the returned scale; numpy computes a mix of the two on Python ints.
     Float mode: float64 as given, scale 1.
     """
     d, scale = space.grid
@@ -546,7 +554,7 @@ def _potentials(
 
 def rho(space: FiniteMetricSpace) -> LipschitzPotential:
     """Distance to the base point; the canonical norm-one potential."""
-    return LipschitzPotential.build([space.d(i, 0) for i in space.points], space)
+    return LipschitzPotential.build(_pair_distances([(i, 0) for i in space.points], space), space)
 
 
 def de_leeuw_transform(
@@ -556,7 +564,8 @@ def de_leeuw_transform(
 
     The sup-norm of the result equals the Lipschitz constant of ``f``.
     """
-    return {(i, j): (f.values[i] - f.values[j]) / space.d(i, j) for i, j in space.pairs()}
+    pairs = list(space.pairs())
+    return {(i, j): (f.values[i] - f.values[j]) / d for (i, j), d in zip(pairs, _pair_distances(pairs, space))}
 
 
 class Functional:
@@ -641,7 +650,7 @@ class Molecule:
             raise ValueError("molecule needs two distinct points")
 
     def to_functional(self, space: FiniteMetricSpace) -> Functional:
-        d = space.d(self.x, self.y)
+        (d,) = _pair_distances([(self.x, self.y)], space)
         return Functional({self.x: 1 / d, self.y: -(1 / d)}, space)
 
 

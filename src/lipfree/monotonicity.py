@@ -10,11 +10,6 @@ f(x) - f(y) = d(x, y) on every pair, built from a chain formula as a
 negated shortest-path distance from a fixed anchor pair.  Both the check
 and the construction run the same Bellman-Ford core.
 
-The pair graph is gathered from ``space.grid`` in one array step, and the
-cycle slack and the envelope inputs are read from the grid as well, so a
-check never builds ``space.dist``; only ``verify_extremal`` and the
-brute-force oracle read distances one at a time through ``space.d``.
-
 In float mode, with eps = FLOAT_CYCLE_EPS * max(1, largest distance), a
 negative verdict needs a cycle of k pairs whose weight is below -k * eps,
 and the reported cycle always has slack below -eps; cycles of zero weight
@@ -24,14 +19,14 @@ up to round-off count as monotone.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import Error, InternalError
-from .metric import FiniteMetricSpace, LipschitzPotential, _grid_rows, _pinned_envelope, check_pair
+from .metric import FiniteMetricSpace, LipschitzPotential, _grid_rows, _pair_distances, _pinned_envelope, check_pair
 from .numerics import Number, coerce, left_sum
 
 Pair = Tuple[int, int]
@@ -101,9 +96,8 @@ def pair_graph(C: PairSet, space: FiniteMetricSpace):
     ``W = a[xs][:, ys] - a[xs, ys][:, None]``, and returned as nested lists
     by ``_grid_rows``: exact mode holds one ``Fraction(v, scale)`` per
     distinct lattice difference ``v``, float mode Python floats, each the
-    IEEE subtraction ``space.d`` would give.  An int64 difference cannot
-    overflow (``_int_dtype`` keeps twice the largest entry below 2**63), and
-    an ``object`` grid subtracts Python ints.
+    IEEE subtraction ``space.d`` would give.  The differences are exact by
+    the dtype rule of ``_int_dtype``.
     """
     nodes = C.deduplicated()
     a, scale = space.grid
@@ -115,18 +109,11 @@ def pair_graph(C: PairSet, space: FiniteMetricSpace):
 
 def cycle_slack(cycle: Sequence[Pair], space: FiniteMetricSpace) -> Number:
     """Re-evaluate a cycle against the definition: the rotated-target cost
-    minus the original cost, summed over the cycle.
-
-    Read from ``space.grid``: exact mode sums the lattice integers and
-    divides by the scale once, float mode adds the float differences left
-    to right from 0.0."""
-    a, scale = space.grid
-    xs = [x for x, _ in cycle]
-    ys = [y for _, y in cycle]
-    terms = (a[xs, ys[1:] + ys[:1]] - a[xs, ys]).tolist()
-    if space.exact:
-        return Fraction(sum(terms), scale)
-    return left_sum(terms, 0.0)
+    minus the original cost, summed over the cycle, one difference per
+    pair added left to right from 0."""
+    rotated = [(x, y) for (x, _), (_, y) in zip(cycle, cycle[1:] + cycle[:1])]
+    terms = map(operator.sub, _pair_distances(rotated, space), _pair_distances(cycle, space))
+    return left_sum(terms, coerce(0, space.exact))
 
 
 def _cycle_eps(space: FiniteMetricSpace) -> Number:
@@ -247,10 +234,8 @@ def build_extremal_potential(C: PairSet, space: FiniteMetricSpace) -> LipschitzP
         certificate = check_cyclically_monotone(C, space)
         if not certificate.monotone:
             raise NotMonotone(certificate)
-    a, scale = space.grid
-    xs, ys = [x for x, _ in nodes], [y for _, y in nodes]
-    kept = _grid_rows(a[xs, ys], scale, space.exact)  # d(x, y) of each node, as space.d gives it
-    return _pinned_envelope(xs, [d - dp for d, dp in zip(kept, dist)], space)
+    kept = _pair_distances(nodes, space)
+    return _pinned_envelope([x for x, _ in nodes], [d - dp for d, dp in zip(kept, dist)], space)
 
 
 def verify_extremal(
@@ -260,4 +245,4 @@ def verify_extremal(
     cmp = space.cmp
     if cmp.gt(f.lip, 1):
         return False
-    return all(cmp.eq(f.values[x] - f.values[y], space.d(x, y)) for x, y in C.pairs)
+    return all(cmp.eq(f.values[x] - f.values[y], d) for (x, y), d in zip(C.pairs, _pair_distances(C.pairs, space)))

@@ -32,6 +32,7 @@ from .metric import (
     Functional,
     LipschitzPotential,
     Molecule,
+    _pair_distances,
     _pinned_envelope,
     check_pair,
     functionals_equal,
@@ -136,14 +137,15 @@ def apply_representation(
     mu: PairMeasure, f: LipschitzPotential, space: FiniteMetricSpace
 ) -> Number:
     """Integrate the incremental quotients of f against the pair measure."""
-    return left_sum(m * (f.values[x] - f.values[y]) / space.d(x, y) for (x, y), m in mu._mass.items())
+    dists = _pair_distances(mu._mass, space)
+    return left_sum(m * (f.values[x] - f.values[y]) / d for ((x, y), m), d in zip(mu._mass.items(), dists))
 
 
 def functional_of(mu: PairMeasure, space: FiniteMetricSpace) -> Functional:
     """The functional represented by the measure: sum of mass(x,y) * m_xy."""
     coeffs: Dict[int, Number] = {}
-    for (x, y), m in mu._mass.items():
-        w = m / space.d(x, y)
+    for ((x, y), m), d in zip(mu._mass.items(), _pair_distances(mu._mass, space)):
+        w = m / d
         coeffs[x] = coeffs.get(x, 0) + w
         coeffs[y] = coeffs.get(y, 0) - w
     return Functional(coeffs, space)
@@ -304,7 +306,7 @@ def optimal_coupling(phi: Functional, space: FiniteMetricSpace) -> TransportResu
     )
     flow, pot = _solve_min_cost(sources, sinks, space)
     # Flows stay positive: the total variation is the coupling cost, in the same order.
-    representation = PairMeasure({p: m * space.d(*p) for p, m in flow.items()})
+    representation = PairMeasure({p: m * d for (p, m), d in zip(flow.items(), _pair_distances(flow, space))})
     # f(z) = max over sources x of (u(x) - d(x, z)), pinned at the base point.
     src = sorted(sources)
     potential = _pinned_envelope(src, [-pot[s] for s in src], space)
@@ -350,6 +352,7 @@ def norming_functions_check(
         raise NotARepresentation("measure does not represent the functional")
     if cmp.gt(f.lip, 1):
         return False
+    support = mu.support
     return all(
-        cmp.eq((f.values[x] - f.values[y]) / space.d(x, y), 1) for (x, y) in mu.support
+        cmp.eq((f.values[x] - f.values[y]) / d, 1) for (x, y), d in zip(support, _pair_distances(support, space))
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .metric import FiniteMetricSpace, Functional, LipschitzPotential
+from .metric import FiniteMetricSpace, Functional, LipschitzPotential, _pair_distances
 from .numerics import Number, coerce
 
 
@@ -39,8 +39,7 @@ def daleth(n: int, space: FiniteMetricSpace) -> WeightFunction:
     one = coerce(1, space.exact)
     zero = coerce(0, space.exact)
     vals = []
-    for i in space.points:
-        r = space.d(i, 0)
+    for r in _pair_distances([(i, 0) for i in space.points], space):
         if r <= lo:
             vals.append(one)
         elif r >= hi:

@@ -10,16 +10,30 @@ from lipfree import (
     AsymmetricMatrix,
     Functional,
     LipschitzPotential,
+    Molecule,
     NegativeDistance,
+    PairMeasure,
+    PairSet,
     TriangleViolation,
+    WeightFunction,
     ZeroOffDiagonal,
+    apply_representation,
+    build_extremal_potential,
+    cycle_slack,
+    daleth,
     de_leeuw_transform,
     delta,
     evaluate,
+    functional_of,
     lip_constant,
     molecule,
+    norming_functions_check,
+    optimal_coupling,
+    pair_graph,
+    pi_window,
     rho,
     validate_metric,
+    verify_extremal,
 )
 from lipfree.embedding import _worst_pair_separation
 from lipfree.metric import (
@@ -32,10 +46,12 @@ from lipfree.metric import (
     _ratio_extreme,
     _ratio_extremes,
     _triangle_witness,
+    functionals_equal,
     validate_grid,
 )
-from lipfree.instances import line_space, random_space
-from lipfree.numerics import coerce
+from lipfree.instances import line_space, random_functional, random_space
+from lipfree.monotonicity import _bellman_ford
+from lipfree.numerics import coerce, left_sum
 
 
 LINE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]  # colinear 0, a, b
@@ -871,3 +887,92 @@ def test_error_payloads():
             body["witness"] = witness
         assert str(exc) == message
         assert exc.payload() == body and list(exc.payload()) == list(body)
+
+
+
+def _reader_spaces(n=9, seed=3):
+    """Builders of one closure as an exact int64, an exact ``object`` and a
+    float space, each call a new space."""
+    rows = random_space(n, seed=seed).dist
+    big = F(10**20 + 39, 10**19 + 7)
+    return {
+        "int64": lambda: validate_metric(rows),
+        "object": lambda: validate_metric([[v * big for v in r] for r in rows]),
+        "float": lambda: validate_metric([[float(v) for v in r] for r in rows], exact=False),
+    }
+
+
+@pytest.mark.parametrize("kind", ["int64", "object", "float"])
+def test_distance_readers_gather_from_the_grid_as_space_d_reads(kind):
+    # Every reader outside the two solver loops gathers from space.grid and
+    # builds no dist; each answer equals, repr for repr, its formula through
+    # space.d on a second, equal space.  The transport solve reads dist, so
+    # the inputs come from a third space.
+    build = _reader_spaces()[kind]
+    space, ref, other = build(), build(), build()
+    assert space == ref == other and (space.grid[0].dtype == object) == (kind == "object")
+    d, cmp, zero = ref.d, ref.cmp, coerce(0, ref.exact)
+    phi = random_functional(other, seed=5)
+    result = optimal_coupling(phi, other)
+    rep, f = result.representation, result.potential
+    signed = PairMeasure({(1, 2): 3, (2, 4): -1, (5, 0): F(1, 2), (3, 7): F(-2, 3)}, other)
+    C = PairSet.of([(x, 0) for x in range(1, ref.n)], ref)
+    cycle = ((1, 2), (2, 1), (4, 3))
+
+    def functional_of_ref(mu):
+        coeffs = {}
+        for (x, y), m in mu.mass.items():
+            w = m / d(x, y)
+            coeffs[x] = coeffs.get(x, 0) + w
+            coeffs[y] = coeffs.get(y, 0) - w
+        return Functional(coeffs, ref)
+
+    def extremal_ref():
+        nodes, weight = pair_graph(C, ref)
+        dist, _, _ = _bellman_ford(weight, list(weight[0]))
+        return _pinned_envelope([x for x, _ in nodes], [d(x, y) - dp for (x, y), dp in zip(nodes, dist)], ref)
+
+    def daleth_ref(n):
+        lo, hi = coerce(2, ref.exact) ** n, coerce(2, ref.exact) ** (n + 1)
+        r = [d(i, 0) for i in ref.points]
+        return WeightFunction(tuple(coerce(1, ref.exact) if v <= lo else zero if v >= hi else 2 - v / lo for v in r))
+
+    g = build_extremal_potential(C, space)
+    answers = [
+        functional_of(rep, space).coeffs,
+        functional_of(signed, space).coeffs,
+        apply_representation(rep, f, space),
+        apply_representation(signed, f, space),
+        norming_functions_check(phi, f, rep, space),
+        g,
+        verify_extremal(g, C, space),
+        cycle_slack(cycle, space),
+        rho(space),
+        de_leeuw_transform(f, space),
+        molecule(2, 5, space).coeffs,
+        Molecule(7, 1).to_functional(space).coeffs,
+        [daleth(n, space) for n in (-3, -1, 0, 1)],
+        pi_window(1, space),
+    ]
+    assert "dist" not in space.__dict__
+    ys = [y for _, y in cycle]
+    wanted = [
+        functional_of_ref(rep).coeffs,
+        functional_of_ref(signed).coeffs,
+        left_sum(m * (f.values[x] - f.values[y]) / d(x, y) for (x, y), m in rep.mass.items()),
+        left_sum(m * (f.values[x] - f.values[y]) / d(x, y) for (x, y), m in signed.mass.items()),
+        functionals_equal(functional_of_ref(rep), phi, cmp) and not cmp.gt(f.lip, 1)
+        and all(cmp.eq((f.values[x] - f.values[y]) / d(x, y), 1) for x, y in rep.support),
+        extremal_ref(),
+        not cmp.gt(g.lip, 1) and all(cmp.eq(g.values[x] - g.values[y], d(x, y)) for x, y in C.pairs),
+        left_sum((d(x, y2) - d(x, y) for (x, y), y2 in zip(cycle, ys[1:] + ys[:1])), zero),
+        LipschitzPotential.build([d(i, 0) for i in ref.points], ref),
+        {(i, j): (f.values[i] - f.values[j]) / d(i, j) for i, j in ref.pairs()},
+        {2: 1 / d(2, 5), 5: -(1 / d(2, 5))},
+        {7: 1 / d(7, 1), 1: -(1 / d(7, 1))},
+        [daleth_ref(n) for n in (-3, -1, 0, 1)],
+        WeightFunction(tuple(a - b for a, b in zip(daleth_ref(1).values, daleth_ref(-1).values))),
+    ]
+    assert list(map(repr, answers)) == list(map(repr, wanted))
+    # optimal_coupling's representation, on the space the solve ran on.
+    assert repr(rep) == repr(PairMeasure({p: m * d(*p) for p, m in result.coupling.mass.items()}))
