@@ -889,17 +889,15 @@ def test_error_payloads():
         assert exc.payload() == body and list(exc.payload()) == list(body)
 
 
-
-def _reader_spaces(n=9, seed=3):
-    """Builders of one closure as an exact int64, an exact ``object`` and a
-    float space, each call a new space."""
-    rows = random_space(n, seed=seed).dist
-    big = F(10**20 + 39, 10**19 + 7)
-    return {
-        "int64": lambda: validate_metric(rows),
-        "object": lambda: validate_metric([[v * big for v in r] for r in rows]),
-        "float": lambda: validate_metric([[float(v) for v in r] for r in rows], exact=False),
-    }
+def _reader_space(kind):
+    """A new space of one closure: exact int64, exact ``object`` or float."""
+    rows = random_space(9, seed=3).dist
+    if kind == "object":
+        big = F(10**20 + 39, 10**19 + 7)
+        return validate_metric([[v * big for v in r] for r in rows])
+    if kind == "float":
+        return validate_metric([[float(v) for v in r] for r in rows], exact=False)
+    return validate_metric(rows)
 
 
 @pytest.mark.parametrize("kind", ["int64", "object", "float"])
@@ -908,8 +906,7 @@ def test_distance_readers_gather_from_the_grid_as_space_d_reads(kind):
     # builds no dist; each answer equals, repr for repr, its formula through
     # space.d on a second, equal space.  The transport solve reads dist, so
     # the inputs come from a third space.
-    build = _reader_spaces()[kind]
-    space, ref, other = build(), build(), build()
+    space, ref, other = (_reader_space(kind) for _ in range(3))
     assert space == ref == other and (space.grid[0].dtype == object) == (kind == "object")
     d, cmp, zero = ref.d, ref.cmp, coerce(0, ref.exact)
     phi = random_functional(other, seed=5)
