@@ -26,15 +26,18 @@ both trees answer the same questions.  Families:
   ``norming_functions_check`` of each result's representation and of random
   positive and signed pair measures;
 - ``monotonicity``: cyclical-monotonicity certificates on random,
-  geodesic and reversed-geodesic pair sets in both modes, ``cycle_slack``
-  of each violating cycle, and the extremal potentials of the geodesic
-  sets with their ``verify_extremal`` verdicts;
+  geodesic, reversed-geodesic, one-pair and repeated-pair sets in both
+  modes, on the solver spaces and on an exact space whose lattice holds
+  Python ints (``object``), ``cycle_slack`` of each violating cycle, and
+  ``build_extremal_potential`` of every set: the potential with its
+  ``verify_extremal`` verdict, or the ``NotMonotone`` certificate;
 - ``metric``: ``rho``, ``de_leeuw_transform``, molecules, ``daleth``,
   ``pi_window`` and ``weighted_adjoint`` on the solver spaces, and
   ``with_mode`` both ways on int64, ``object`` and float spaces scaled by
   powers of two near both ends of float's range;
 - ``cli``: exit code, stdout and stderr of the argument sets of selftest
-  criterion C12 on exact JSON and float CSV spaces;
+  criterion C12 on exact JSON and float CSV spaces, and, at full scale, of
+  ``selftest --iters 2``;
 - ``csv``: ``load_space`` in each mode on odd CSV texts (quotes, CR and
   CRLF endings, NUL bytes, blank lines, trailing commas, ragged rows, a
   field past ``csv.field_size_limit()`` and a long line of short fields,
@@ -42,7 +45,7 @@ both trees answer the same questions.  Families:
   ``decompose`` on float CSV spaces of 65 to 128 points.
 
 ``--scale tiny`` takes about a second per tree and ``--scale full`` about
-40 seconds for two trees, on a 2-core Linux VM.
+a minute for two trees, on a 2-core Linux VM.
 """
 
 from __future__ import annotations
@@ -65,13 +68,14 @@ FAMILIES = ("validate_metric", "load_space", "embedding", "transport", "monotoni
 
 #: Per scale: sizes of the validation matrices and of the exact and float
 #: solver spaces, the seeds per size, the largest pair set, the number of
-#: random CSV texts, the float CSV spaces with the functionals on each, and
-#: the size of the spaces scaled near the ends of float's range.
+#: random CSV texts, the float CSV spaces with the functionals on each, the
+#: size of the spaces scaled near the ends of float's range, and the size of
+#: the exact ``object``-lattice space of the monotonicity family.
 SCALES = {
     "tiny": {"validate": (3, 9), "exact": (6,), "float": (66,), "seeds": 1, "pairs": 12, "csv_texts": 8,
-             "csv": (66,), "csv_functionals": 1, "scaled": 4},
+             "csv": (66,), "csv_functionals": 1, "scaled": 4, "huge": 6},
     "full": {"validate": (3, 9, 20, 33, 64, 65, 130), "exact": (8, 20, 40, 64), "float": (66, 100, 128), "seeds": 3,
-             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24, "scaled": 12},
+             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24, "scaled": 12, "huge": 20},
 }
 
 #: Powers of two that put a closure's distances near both ends of float's
@@ -96,8 +100,8 @@ def _closure(n, rng, top=48):
 def _outcome(fn):
     try:
         return fn()
-    except Exception as exc:  # an error is an answer too
-        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    except Exception as exc:  # an error is an answer too, with its witness or certificate
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None), getattr(exc, "certificate", None)
 
 
 def _space_key(space):
@@ -213,7 +217,7 @@ def _scaled_spaces(lf, rng, n):
 
 def _pair_sets(space, rng, size):
     """(name, pairs): random, geodesic (monotone) and reversed-geodesic sets
-    of at most ``size`` pairs."""
+    of at most ``size`` pairs, a one-pair set and a set that repeats a pair."""
     d = space.dist
     n = space.n
     out = []
@@ -224,6 +228,8 @@ def _pair_sets(space, rng, size):
             if x != y:
                 seen[(x, y)] = None
         out.append((f"random{size}", list(seen)))
+    p, q = out[0][1][:2]
+    out += [("one pair", [p]), ("repeated pair", [q, p, q, q])]
     z = int(rng.integers(0, n))
     geo = [(x, y) for x in range(n) for y in range(n) if x != y and d[x][z] == d[x][y] + d[y][z]]
     if len(geo) > size:
@@ -273,6 +279,23 @@ def _random_csv(rng):
         if rng.random() < 0.2:
             lines.append("")
     return str(rng.choice(["\n", "\n", "\r\n", "\r"])).join(lines) + str(rng.choice(["\n", ""]))
+
+
+def _monotonicity_cases(lf, name, space, rng, size):
+    """Certificates, slacks and extremal potentials of the pair sets of
+    ``_pair_sets`` on an exact space and its float copy, or on a float space."""
+    for mode_space in (space, space.with_mode(exact=not space.exact)) if space.exact else (space,):
+        for set_name, pairs in _pair_sets(mode_space, rng, size):
+            pair_set = lf.PairSet.of(pairs, mode_space)
+            case = f"{name}/exact={mode_space.exact}/{set_name}"
+            certificate = lf.check_cyclically_monotone(pair_set, mode_space)
+            yield "monotonicity", case, certificate
+            if not certificate.monotone:
+                yield "monotonicity", f"{case}/slack", _outcome(lambda: lf.cycle_slack(certificate.cycle, mode_space))
+            f = _outcome(lambda: lf.build_extremal_potential(pair_set, mode_space))
+            yield "monotonicity", f"{case}/extremal", f
+            if isinstance(f, lf.LipschitzPotential):
+                yield "monotonicity", f"{case}/verify", lf.verify_extremal(f, pair_set, mode_space)
 
 
 def _cli(main, argv):
@@ -340,18 +363,11 @@ def corpus(scale):
             if level > 0:
                 yield "metric", f"{name}/pi_window/{level}", _outcome(lambda: lf.pi_window(level, space))
 
-        for mode_space in (space, space.with_mode(exact=not space.exact)) if space.exact else (space,):
-            for set_name, pairs in _pair_sets(mode_space, rng, sizes["pairs"]):
-                pair_set = lf.PairSet.of(pairs, mode_space)
-                case = f"{name}/exact={mode_space.exact}/{set_name}"
-                certificate = lf.check_cyclically_monotone(pair_set, mode_space)
-                yield "monotonicity", case, certificate
-                if not certificate.monotone:
-                    yield "monotonicity", f"{case}/slack", _outcome(lambda: lf.cycle_slack(certificate.cycle, mode_space))
-                if set_name == "geodesic":
-                    f = _outcome(lambda: lf.build_extremal_potential(pair_set, mode_space))
-                    yield "monotonicity", f"{case}/extremal", f
-                    yield "monotonicity", f"{case}/verify", _outcome(lambda: lf.verify_extremal(f, pair_set, mode_space))
+        yield from _monotonicity_cases(lf, name, space, rng, sizes["pairs"])
+
+    n = sizes["huge"]  # distances near 2**62 * 48 / 7: the lattice and the pair graph hold Python ints
+    huge = lf.validate_metric([[Fraction(v * (2**62 + 1), 7) for v in r] for r in _closure(n, rng)])
+    yield from _monotonicity_cases(lf, f"huge{n}", huge, rng, sizes["pairs"])
 
     for name, space in _scaled_spaces(lf, rng, sizes["scaled"]):
         for step in ("", "/with_mode", "/with_mode/back"):
@@ -379,6 +395,8 @@ def corpus(scale):
             ):
                 yield "cli", " ".join(argv), _cli(cli.main, argv)
     yield "cli", "gen-exotic --N 32", _cli(cli.main, ["gen-exotic", "--N", "32"])
+    if scale == "full":
+        yield "cli", "selftest --iters 2", _cli(cli.main, ["selftest", "--iters", "2"])
 
     texts = _ODD_CSV + [(f"random{k}", _random_csv(rng)) for k in range(sizes["csv_texts"])]
     for name, text in texts:
