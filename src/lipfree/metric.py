@@ -345,11 +345,12 @@ def _float_array(m: Sequence[Sequence[Number]]) -> np.ndarray:
     return np.array([[coerce(v, False) for v in row] for row in m], dtype=float)
 
 
-def _int_dtype(top: int) -> type:
-    """int64 when the sum of two integers of magnitude ``top`` fits in it,
-    else ``object`` (Python ints).  Every exact lattice array follows this
-    rule, so the sum or difference of two of its entries is exact."""
-    return object if 2 * top >= 2**63 else np.int64
+def _int_dtype(top: int, terms: int = 2) -> type:
+    """int64 when a sum of ``terms`` integers of magnitude at most ``top``
+    fits in it, else ``object`` (Python ints).  Every exact lattice array
+    follows this rule, so two of its entries add exactly; walk sums on the
+    pair graph follow it for |C| + 1 terms."""
+    return object if terms * top >= 2**63 else np.int64
 
 
 def _grid_of(values: Sequence[Number], where: np.ndarray, exact: bool) -> Tuple[np.ndarray, int]:

@@ -7,8 +7,10 @@ turns that into the absence of negative cycles, which Bellman-Ford
 decides with an explicit certificate either way.  For monotone C the dual
 object is an extremal potential: a 1-Lipschitz function with
 f(x) - f(y) = d(x, y) on every pair, built from a chain formula as a
-negated shortest-path distance from a fixed anchor pair.  Both the check
-and the construction run the same Bellman-Ford core.
+negated shortest-path distance from a fixed anchor pair.  In exact mode
+both come from one min-plus fixpoint on the lattice (``_min_plus_fixpoint``);
+the Bellman-Ford core names the cycle of a set that does not settle, and
+answers every set in float mode.
 
 In float mode, with eps = FLOAT_CYCLE_EPS * max(1, largest distance), a
 negative verdict needs a cycle of k pairs whose weight is below -k * eps,
@@ -26,7 +28,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import Error, InternalError
-from .metric import FiniteMetricSpace, LipschitzPotential, _grid_rows, _pair_distances, _pinned_envelope, check_pair
+from .metric import FiniteMetricSpace, LipschitzPotential, _grid_rows, _int_dtype, _pair_distances, _pinned_envelope
+from .metric import check_pair
 from .numerics import Number, coerce, left_sum
 
 Pair = Tuple[int, int]
@@ -86,24 +89,26 @@ class CycleCertificate:
     slack: Optional[Number] = None
 
 
-def pair_graph(C: PairSet, space: FiniteMetricSpace):
-    """Complete digraph on the distinct pairs of C.
-
-    Returns (nodes, weight) where weight[i][j] = d(x_i, y_j) - d(x_i, y_i).
-    C is cyclically monotone iff this graph has no negative cycle.
-
-    The weights are gathered from ``space.grid`` in one step,
-    ``W = a[xs][:, ys] - a[xs, ys][:, None]``, and returned as nested lists
-    by ``_grid_rows``: exact mode holds one ``Fraction(v, scale)`` per
-    distinct lattice difference ``v``, float mode Python floats, each the
-    IEEE subtraction ``space.d`` would give.  The differences are exact by
-    the dtype rule of ``_int_dtype``.
-    """
+def _lattice_pair_graph(C: PairSet, space: FiniteMetricSpace):
+    """(nodes, W, scale): the distinct pairs of C and their pair graph's
+    weights ``W = a[xs][:, ys] - a[xs, ys][:, None]`` on ``space.grid``,
+    exact by the dtype rule of ``_int_dtype``, or float64 in float mode."""
     nodes = C.deduplicated()
     a, scale = space.grid
     xs, ys = [x for x, _ in nodes], [y for _, y in nodes]
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as Python floats give it
         weight = a[np.ix_(xs, ys)] - a[xs, ys][:, None]
+    return nodes, weight, scale
+
+
+def pair_graph(C: PairSet, space: FiniteMetricSpace):
+    """Complete digraph on the distinct pairs of C.
+
+    Returns (nodes, weight) where weight[i][j] = d(x_i, y_j) - d(x_i, y_i).
+    C is cyclically monotone iff this graph has no negative cycle.  The
+    weights are ``_lattice_pair_graph``'s as nested lists (``_grid_rows``).
+    """
+    nodes, weight, scale = _lattice_pair_graph(C, space)
     return nodes, _grid_rows(weight, scale, space.exact)
 
 
@@ -122,9 +127,31 @@ def _cycle_eps(space: FiniteMetricSpace) -> Number:
     return 0 if space.exact else FLOAT_CYCLE_EPS * max(1.0, float(space.grid[0].max()))
 
 
+def _min_plus_fixpoint(weight: np.ndarray, dist: np.ndarray) -> Optional[np.ndarray]:
+    """Shortest walks from ``dist`` on the lattice pair graph ``weight``,
+    or None when it has a negative cycle; exact, so free of any order.
+
+    Repeats the Jacobi step ``dist[j] = min over i of dist[i] + weight[i, j]``
+    (Karp's min-plus step, 1978; the zero diagonal keeps ``dist[j]``) until
+    a round changes nothing, at most n rounds: no negative cycle admits such
+    a fixpoint, and without one n - 1 arcs reach every shortest distance.
+    Sums of n + 1 weights run in the dtype ``_int_dtype`` picks for them."""
+    weight = weight.astype(_int_dtype(int(np.abs(weight).max()), len(weight) + 1), copy=False)
+    dist = dist.astype(weight.dtype)
+    for _ in range(len(weight)):
+        step = (dist[:, None] + weight).min(axis=0)
+        if np.array_equal(step, dist):
+            return dist
+        dist = step
+    return None
+
+
 def _bellman_ford(weight, dist):
     """Relax every arc of the complete digraph ``weight`` in place, for at
-    most n rounds, stopping early after a round that changes nothing.
+    most n rounds, stopping early after a round that changes nothing.  Its
+    Gauss-Seidel order decides which negative cycle ``pred`` holds, so
+    violating certificates come from here, and so do float answers, whose
+    sums in ``_min_plus_fixpoint``'s order would round differently.
 
     Returns (dist, pred, flagged).  ``flagged`` alone carries the verdict:
     reset to -1 each round and set to each node relaxed, it ends the loop
@@ -153,18 +180,25 @@ def _bellman_ford(weight, dist):
 
 
 def check_cyclically_monotone(C: PairSet, space: FiniteMetricSpace) -> CycleCertificate:
-    """Bellman-Ford negative-cycle detection on the pair graph.
+    """Negative-cycle detection on the pair graph.
 
     Checking cycles suffices for all permutations because every finite
-    permutation is a product of disjoint cycles.  A failed verdict carries
-    a violating cycle whose slack is recomputed from the distances.  In
+    permutation is a product of disjoint cycles.  An exact set whose
+    ``_min_plus_fixpoint`` from zeros settles is monotone, with no
+    ``Fraction`` built; otherwise ``_bellman_ford`` names a violating cycle,
+    whose slack is recomputed from the distances.  In
     float mode every arc weight is first raised by
     eps = FLOAT_CYCLE_EPS * max(1, largest distance of the space), so that
     round-off cannot make a zero-weight cycle look negative at any scale: a
     cycle of k pairs counts as violating only when its weight lies below
     -k * eps, and a reported cycle always has slack below -eps.
     """
-    nodes, weight = pair_graph(C, space)
+    if not C.pairs:
+        return CycleCertificate(monotone=True)
+    nodes, weight, scale = _lattice_pair_graph(C, space)
+    if space.exact and _min_plus_fixpoint(weight, np.zeros(len(nodes), weight.dtype)) is not None:
+        return CycleCertificate(monotone=True)
+    weight = _grid_rows(weight, scale, space.exact)
     n = len(nodes)
     eps = _cycle_eps(space)
     if not space.exact:
@@ -212,28 +246,36 @@ def build_extremal_potential(C: PairSet, space: FiniteMetricSpace) -> LipschitzP
     """Constructive extremal potential for a cyclically monotone pair set.
 
     The chain value of a walk anchor -> p_1 -> ... -> p_n ending with the
-    terminal arc d(x_n, z) - d(x_n, y_n) into a point z is minimized by
-    Bellman-Ford (well-defined exactly when there is no negative cycle);
-    its negation, max over pairs p of d(x_p, y_p) - dist(p) - d(x_p, z),
-    shifted to vanish at the base point, is 1-Lipschitz and attains
-    f(x) - f(y) = d(x, y) on every pair of C.
+    terminal arc d(x_n, z) - d(x_n, y_n) into a point z is minimized by a
+    shortest-walk pass from the anchor (well-defined exactly when there is
+    no negative cycle); its negation, max over pairs p of
+    d(x_p, y_p) - dist(p) - d(x_p, z), shifted to vanish at the base point,
+    is 1-Lipschitz and attains f(x) - f(y) = d(x, y) on every pair of C.
 
-    The pair graph is complete, so that one pass from the anchor also relaxes
-    in its last round exactly when a negative cycle exists.  Only then does
-    ``check_cyclically_monotone`` run: for the ``NotMonotone`` certificate,
-    or in float mode to clear a round-off flag.
+    Exact mode runs the pass as ``_min_plus_fixpoint``, float mode as
+    ``_bellman_ford``; on the complete pair graph it fails to settle (in
+    float mode, relaxes in its last round) exactly when a negative cycle
+    exists.  Only then does ``check_cyclically_monotone`` run: for the
+    ``NotMonotone`` certificate, or in float mode to clear a round-off flag.
     """
     if not C.pairs:
         raise EmptySet("cannot build an extremal potential for an empty pair set")
-    nodes, weight = pair_graph(C, space)
+    nodes, weight, scale = _lattice_pair_graph(C, space)
     # Nodes are sorted, so index 0 is the lexicographically least pair, and
     # weight[0][0] == 0, so starting from its row is the state right after
     # the anchor's first relaxation from distance 0.
-    dist, _, flagged = _bellman_ford(weight, list(weight[0]))
-    if flagged >= 0:
-        certificate = check_cyclically_monotone(C, space)
-        if not certificate.monotone:
-            raise NotMonotone(certificate)
+    if space.exact:
+        dist = _min_plus_fixpoint(weight, weight[0])
+        if dist is None:
+            raise NotMonotone(check_cyclically_monotone(C, space))
+        dist = _grid_rows(dist, scale, True)
+    else:
+        weight = weight.tolist()
+        dist, _, flagged = _bellman_ford(weight, list(weight[0]))
+        if flagged >= 0:
+            certificate = check_cyclically_monotone(C, space)
+            if not certificate.monotone:
+                raise NotMonotone(certificate)
     kept = _pair_distances(nodes, space)
     return _pinned_envelope([x for x, _ in nodes], [d - dp for d, dp in zip(kept, dist)], space)
 

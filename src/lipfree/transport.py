@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Mapping, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .errors import Error, InternalError
 from .metric import (
@@ -143,8 +143,13 @@ def apply_representation(
 
 def functional_of(mu: PairMeasure, space: FiniteMetricSpace) -> Functional:
     """The functional represented by the measure: sum of mass(x,y) * m_xy."""
+    return _functional_of(mu, _pair_distances(mu._mass, space), space)
+
+
+def _functional_of(mu: PairMeasure, distances: Iterable[Number], space: FiniteMetricSpace) -> Functional:
+    """``functional_of`` with the distances of ``mu``'s pairs, in its order, given."""
     coeffs: Dict[int, Number] = {}
-    for ((x, y), m), d in zip(mu._mass.items(), _pair_distances(mu._mass, space)):
+    for ((x, y), m), d in zip(mu._mass.items(), distances):
         w = m / d
         coeffs[x] = coeffs.get(x, 0) + w
         coeffs[y] = coeffs.get(y, 0) - w
@@ -348,11 +353,9 @@ def norming_functions_check(
     if mu.signed:
         raise SignedMeasure("norming certificates need a positive representation")
     cmp = space.cmp
-    if not functionals_equal(functional_of(mu, space), phi, cmp):
+    d = dict(zip(mu._mass, _pair_distances(mu._mass, space)))
+    if not functionals_equal(_functional_of(mu, d.values(), space), phi, cmp):
         raise NotARepresentation("measure does not represent the functional")
     if cmp.gt(f.lip, 1):
         return False
-    support = mu.support
-    return all(
-        cmp.eq((f.values[x] - f.values[y]) / d, 1) for (x, y), d in zip(support, _pair_distances(support, space))
-    )
+    return all(cmp.eq((f.values[x] - f.values[y]) / d[x, y], 1) for x, y in mu.support)

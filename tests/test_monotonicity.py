@@ -1,10 +1,13 @@
+import contextlib
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import lipfree
+from lipfree import monotonicity
 from lipfree import io as lfio
 from lipfree import (
     EmptySet,
@@ -29,7 +32,8 @@ from lipfree.instances import (
     random_pair_set,
     random_space,
 )
-from lipfree.monotonicity import FLOAT_CYCLE_EPS
+from lipfree.metric import _pinned_envelope
+from lipfree.monotonicity import FLOAT_CYCLE_EPS, CycleCertificate, _bellman_ford
 
 
 @pytest.mark.parametrize(
@@ -295,3 +299,100 @@ def test_check_monotone_reads_the_grid_and_builds_no_dist(exact):
     for t, (x, y) in enumerate(cert.cycle):  # left to right, as cycle_slack adds
         total += sp.d(x, cert.cycle[(t + 1) % k][1]) - sp.d(x, y)
     assert type(total) is type(cert.slack) and total == cert.slack
+
+
+def _fraction_path(C, sp):
+    """The answers of the Fraction Bellman-Ford on the pair graph's rows:
+    from zeros the certificate, walking ``pred`` into the cycle as the check
+    does; from row 0 the extremal potential of a monotone set."""
+    nodes, weight = pair_graph(C, sp)
+    n = len(nodes)
+    _, pred, flagged = _bellman_ford(weight, [Fraction(0)] * n)
+    if flagged >= 0:
+        v = flagged
+        for _ in range(n):
+            v = pred[v]
+        cycle, u = [v], pred[v]
+        while u != v:
+            cycle.append(u)
+            u = pred[u]
+        cycle = tuple(nodes[i] for i in reversed(cycle))
+        return CycleCertificate(False, cycle, cycle_slack(cycle, sp)), None
+    if not n:
+        return CycleCertificate(True), None
+    dist, _, _ = _bellman_ford(weight, list(weight[0]))
+    values = [sp.d(x, y) - dp for (x, y), dp in zip(nodes, dist)]
+    return CycleCertificate(True), _pinned_envelope([x for x, _ in nodes], values, sp)
+
+
+def _geodesic_sets(sp, seed):
+    """A geodesic (monotone) set towards a point z and its reversal: one
+    inner pair (x, y) turned round beside (x, z), a violating 2-cycle."""
+    rng = random.Random(seed)
+    z = rng.randrange(sp.n)
+    geo = [(x, y) for x, y in sp.pairs() if sp.d(x, z) == sp.d(x, y) + sp.d(y, z)]
+    geo = rng.sample(geo, min(len(geo), 24))
+    x, y = next((x, y) for x, y in geo if y != z and (x, z) in geo)
+    return geo, [p for p in geo if p != (x, y)] + [(y, x)]
+
+
+# Distances near 2**62 on an int64 grid: walk sums of three pairs leave int64.
+_D = 2**62 - 2**59
+_WIDE = [(1, 2), (2, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("kind", ["int64", "object", "wide"])
+def test_exact_answers_match_the_fraction_bellman_ford(kind):
+    # The lattice fixpoint answers monotone sets; the Fraction path is the
+    # reference for verdicts, extremal values (repr for repr) and the
+    # NotMonotone certificates.
+    if kind == "wide":
+        sp = line_space([_D + 2**58, _D, 0, 2**61, 2**60])
+        assert sp.grid[0].dtype == np.int64 and 4 * _D >= 2**63
+    else:
+        base = random_space(12, 31)
+        sp = base if kind == "int64" else validate_metric(
+            [[v * Fraction(2**62 + 1, 7) for v in row] for row in base.dist]
+        )
+        assert (sp.grid[0].dtype == object) == (kind == "object")
+    sets = [[], [(3, 1)], [(2, 4), (3, 1), (2, 4), (2, 4)], _WIDE]
+    for seed in range(6):
+        sets.append(list(random_pair_set(sp, seed, size=2 + 3 * seed).pairs))
+        sets.extend(_geodesic_sets(sp, seed))
+    violating = 0
+    for pairs in sets:
+        C = PairSet.of(pairs, sp)
+        ref_cert, ref_f = _fraction_path(C, sp)
+        cert = check_cyclically_monotone(C, sp)
+        assert repr(cert) == repr(ref_cert)
+        if not pairs:
+            continue
+        try:
+            f = build_extremal_potential(C, sp)
+        except NotMonotone as exc:
+            violating += 1
+            assert ref_f is None and repr(exc.certificate) == repr(ref_cert)
+        else:
+            assert repr(f) == repr(ref_f) and verify_extremal(f, C, sp)
+    assert 6 <= violating <= len(sets) - 6
+
+
+def test_only_float_and_violating_sets_run_the_fraction_bellman_ford(monkeypatch):
+    calls = []
+
+    def counted(weight, dist):
+        calls.append(len(weight))
+        return _bellman_ford(weight, dist)
+
+    monkeypatch.setattr(monotonicity, "_bellman_ford", counted)
+    sp = random_space(10, 2)
+    geo, rev = _geodesic_sets(sp, 3)
+    for space, pairs, runs in ((sp, geo, False), (sp.with_mode(exact=False), geo, True), (sp, rev, True)):
+        C = PairSet.of(pairs, space)
+        calls.clear()
+        check_cyclically_monotone(C, space)
+        assert bool(calls) == runs
+        calls.clear()
+        with pytest.raises(NotMonotone) if pairs is rev else contextlib.nullcontext():
+            build_extremal_potential(C, space)
+        assert bool(calls) == runs
