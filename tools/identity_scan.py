@@ -24,7 +24,10 @@ both trees answer the same questions.  Families:
   on exact, float and two-distance spaces, with full and partial support,
   and ``functional_of``, ``apply_representation`` and
   ``norming_functions_check`` of each result's representation and of random
-  positive and signed pair measures;
+  positive and signed pair measures; and ``optimal_coupling`` on tie-heavy
+  line, star and taxicab-grid spaces in both modes, with functionals whose
+  imbalance the base point takes on either side, on float spaces where the
+  solver clamps negative reduced costs, and on one full-support float space;
 - ``monotonicity``: cyclical-monotonicity certificates on random,
   geodesic, reversed-geodesic, one-pair and repeated-pair sets in both
   modes, on the solver spaces and on an exact space whose lattice holds
@@ -34,7 +37,8 @@ both trees answer the same questions.  Families:
 - ``metric``: ``rho``, ``de_leeuw_transform``, molecules, ``daleth``,
   ``pi_window`` and ``weighted_adjoint`` on the solver spaces, and
   ``with_mode`` both ways on int64, ``object`` and float spaces scaled by
-  powers of two near both ends of float's range;
+  powers of two near both ends of float's range, and ``coerce`` in both
+  modes on random float bit patterns;
 - ``cli``: exit code, stdout and stderr of the argument sets of selftest
   criterion C12 on exact JSON and float CSV spaces, and, at full scale, of
   ``selftest --iters 2``;
@@ -66,16 +70,27 @@ from pathlib import Path
 
 FAMILIES = ("validate_metric", "load_space", "embedding", "transport", "monotonicity", "metric", "cli", "csv")
 
+#: Seeds of 16-point float spaces, ``_closure`` times 0.1, on whose
+#: full-support functional the transport solver clamps a negative float
+#: reduced cost to 0 most often among seeds 0-59 (15 to 30 times, counted on
+#: a copy of the solver that counts its clamps).
+_CLAMP_SEEDS = (23, 36, 58, 54, 27, 26)
+
 #: Per scale: sizes of the validation matrices and of the exact and float
 #: solver spaces, the seeds per size, the largest pair set, the number of
 #: random CSV texts, the float CSV spaces with the functionals on each, the
-#: size of the spaces scaled near the ends of float's range, and the size of
-#: the exact ``object``-lattice space of the monotonicity family.
+#: size of the spaces scaled near the ends of float's range, the size of
+#: the exact ``object``-lattice space of the monotonicity family, the sizes
+#: of the tie-heavy transport spaces, the clamp seeds, the size of the
+#: full-support float transport case, and the number of random float bit
+#: patterns given to ``coerce``.
 SCALES = {
     "tiny": {"validate": (3, 9), "exact": (6,), "float": (66,), "seeds": 1, "pairs": 12, "csv_texts": 8,
-             "csv": (66,), "csv_functionals": 1, "scaled": 4, "huge": 6},
+             "csv": (66,), "csv_functionals": 1, "scaled": 4, "huge": 6,
+             "ties": (7,), "clamp": _CLAMP_SEEDS[:2], "full_support": 66, "bits": 64},
     "full": {"validate": (3, 9, 20, 33, 64, 65, 130), "exact": (8, 20, 40, 64), "float": (66, 100, 128), "seeds": 3,
-             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24, "scaled": 12, "huge": 20},
+             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24, "scaled": 12, "huge": 20,
+             "ties": (7, 16, 33), "clamp": _CLAMP_SEEDS, "full_support": 128, "bits": 4000},
 }
 
 #: Powers of two that put a closure's distances near both ends of float's
@@ -298,6 +313,64 @@ def _monotonicity_cases(lf, name, space, rng, size):
                 yield "monotonicity", f"{case}/verify", lf.verify_extremal(f, pair_set, mode_space)
 
 
+def _tie_spaces(n, rng):
+    """(name, exact space): ``n`` points on a line at distinct small integers,
+    a star of ``n - 1`` leaves around the base point, and a taxicab grid of
+    about ``n`` points; every distance is a small integer, so many paths tie."""
+    positions = [0] + sorted(int(v) for v in rng.choice(range(1, 2 * n), size=n - 1, replace=False))
+    yield f"line{n}", [[abs(a - b) for b in positions] for a in positions]
+    yield f"star{n}", [[0 if i == j else 1 if 0 in (i, j) else 2 for j in range(n)] for i in range(n)]
+    side = max(2, round(math.sqrt(n)))
+    cells = [(i // side, i % side) for i in range(side * side)]
+    yield f"grid{side}x{side}", [[abs(a - c) + abs(b - d) for c, d in cells] for a, b in cells]
+
+
+def _transport_cases(lf, sizes):
+    """Transport results on tie-heavy spaces in both modes, with functionals
+    whose imbalance the base point takes as a sink (all coefficients
+    positive) or as a source (all negative); on float spaces where the
+    solver clamps reduced costs; and one full-support float case with
+    coefficients in +-{1, 2, 3}."""
+    import numpy as np
+
+    rng = np.random.default_rng(20261021)
+    for n in sizes["ties"]:
+        for name, rows in _tie_spaces(n, rng):
+            exact = lf.validate_metric(rows)
+            for space in (exact, exact.with_mode(exact=False)):
+                functionals = [("random", _functional(lf, space, rng)), ("partial", _functional(lf, space, rng, 2))]
+                for sign in (1, -1):
+                    coeffs = {i: sign * int(rng.integers(1, 4)) for i in range(1, space.n) if rng.random() < 0.7}
+                    functionals.append((f"sign={sign}", lf.Functional(coeffs or {1: sign}, space)))
+                for phi_name, phi in functionals:
+                    case = f"{name}/exact={space.exact}/{phi_name}"
+                    yield "transport", case, _outcome(lambda: lf.optimal_coupling(phi, space))
+    for seed in sizes["clamp"]:
+        r = np.random.default_rng(seed)
+        space = lf.validate_metric([[v * 0.1 for v in row] for row in _closure(16, r)], exact=False)
+        phi = _functional(lf, space, r)
+        yield "transport", f"clamp/seed={seed}", _outcome(lambda: lf.optimal_coupling(phi, space))
+    n = sizes["full_support"]
+    space = lf.validate_metric([[v / 12 for v in row] for row in _closure(n, rng)], exact=False)
+    phi = lf.Functional({i: int(rng.choice([-3, -2, -1, 1, 2, 3])) for i in range(1, n)}, space)
+    yield "transport", f"full_support{n}", _outcome(lambda: lf.optimal_coupling(phi, space))
+
+
+def _coerce_cases(sizes):
+    """``coerce`` in both modes on random 64-bit patterns read as floats
+    (any sign, exponent and payload, NaN and infinity included) and on the
+    ends of float's range."""
+    import numpy as np
+
+    from lipfree.numerics import coerce
+
+    rng = np.random.default_rng(20261022)
+    bits = rng.integers(0, 2**64, size=sizes["bits"], dtype=np.uint64).view(np.float64).tolist()
+    for x in [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, -math.inf, math.nan] + bits:
+        for exact in (True, False):
+            yield "metric", f"coerce/{x!r}/exact={exact}", _outcome(lambda: coerce(x, exact))
+
+
 def _cli(main, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -365,6 +438,8 @@ def corpus(scale):
 
         yield from _monotonicity_cases(lf, name, space, rng, sizes["pairs"])
 
+    yield from _transport_cases(lf, sizes)
+
     n = sizes["huge"]  # distances near 2**62 * 48 / 7: the lattice and the pair graph hold Python ints
     huge = lf.validate_metric([[Fraction(v * (2**62 + 1), 7) for v in r] for r in _closure(n, rng)])
     yield from _monotonicity_cases(lf, f"huge{n}", huge, rng, sizes["pairs"])
@@ -377,6 +452,7 @@ def corpus(scale):
                 yield "metric", name + step, space
                 break
             yield "metric", name + step, _space_key(space)
+    yield from _coerce_cases(sizes)
 
     for name, space in spaces[:2] if scale == "tiny" else spaces:
         files = _write_space(f"cli_{name}", space.dist)
