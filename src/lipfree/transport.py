@@ -188,17 +188,22 @@ def _solve_min_cost(
 
     Sources are drained in increasing point order and ties among nearest
     sinks break toward the lowest index, so outputs are deterministic.
-    Returns the flow and the final node potentials.
+    Returns the flow and the final node potentials, a list indexed by point.
 
-    ``left`` is the one residual table of supply and demand still to route;
-    the sides share no point, as the base point takes only the imbalance.
+    Every table is a list indexed by point: ``left``, the one residual table
+    of supply and demand still to route (the sides share no point, as the
+    base point takes only the imbalance), ``pot``, ``carriers`` and the
+    source flags; and, per augmentation, ``dist``, ``prev`` and ``done``,
+    with ``dist[v]`` None until v is reached.
 
     Each augmentation runs Dijkstra from the first source with supply left
-    over the reduced costs ``cost + pot[u] - pot[v]``.  Every arc costs
-    d(source, sink): ``space.dist[s][t]`` forward, and ``-space.dist[s][t]``
-    on the backward arc t -> s, which exists only while s carries flow into
-    t.  ``carriers[t]`` keeps those sources, so a settled sink relaxes only
-    its own backward arcs.
+    over the reduced costs ``cost + pot[u] - pot[v]``.  That source is found
+    by a pointer into the sorted sources that never moves back: a source's
+    supply never rises, and ``eps_active`` is fixed for the solve.  Every
+    arc costs d(source, sink): ``space.dist[s][t]`` forward, and
+    ``-space.dist[s][t]`` on the backward arc t -> s, which exists only
+    while s carries flow into t.  ``carriers[t]`` keeps those sources, so a
+    settled sink relaxes only its own backward arcs.
 
     * Order: a heap of ``(dist, point)`` entries settles points by the
       least unsettled ``(dist[v], v)``; an entry whose point is already
@@ -213,49 +218,58 @@ def _solve_min_cost(
       cap.
     """
     zero = coerce(0, space.exact)
+    n = space.n
     src = sorted(sources)
     snk = sorted(sinks)
-    left = {**sources, **sinks}
+    nodes = src + snk
+    left: List[Number] = [sources.get(v, sinks.get(v, zero)) for v in range(n)]
+    is_source = [v in sources for v in range(n)]
     flow: Dict[Pair, Number] = {}
-    pot: Dict[int, Number] = {v: zero for v in src + snk}
-    carriers: Dict[int, Set[int]] = {t: set() for t in snk}
+    pot: List[Number] = [zero] * n
+    carriers: List[Set[int]] = [set() for _ in range(n)]
     rows = space.dist
     clamp = not space.exact  # float round-off guard; exact mode never needs it
     # Float totals can disagree by a few ulps: a residue below this is spent.
-    eps_active = 0 if space.exact else 1e-12 * (1.0 + float(max(left.values())))
+    eps_active = 0 if space.exact else 1e-12 * (1.0 + float(max(left)))
+    first = 0  # src[first] is the first source that may have supply left
 
     while True:
-        s0 = next((s for s in src if left[s] > eps_active), None)
-        if s0 is None:
+        while first < len(src) and not left[src[first]] > eps_active:
+            first += 1
+        if first == len(src):
             break
+        s0 = src[first]
 
         # Dijkstra over reduced costs from s0, up to the cap.
-        dist: Dict[int, Number] = {s0: zero}
-        prev: Dict[int, int] = {}
-        done = set()
+        dist: List[Number | None] = [None] * n
+        prev: List[int] = [0] * n
+        done = [False] * n
+        dist[s0] = zero
         heap = [(zero, s0)]
         best = None  # least (dist, t) over settled sinks with demand left
         while heap:
             du, u = heappop(heap)
             if best is not None and du > best[0]:
                 break
-            if u in done:
+            if done[u]:
                 continue
-            done.add(u)
+            done[u] = True
             pu = pot[u]
-            if u in sources:
-                row = rows[u]
-                arcs = [(t, row[t]) for t in snk if t not in done]
+            if is_source[u]:
+                row, arcs = rows[u], snk
             else:
                 if left[u] > eps_active and (best is None or (du, u) < best):
                     best = (du, u)
-                arcs = [(s, -rows[s][u]) for s in carriers[u] if s not in done]
-            for v, cost in arcs:
-                rc = cost + pu - pot[v]
+                row = arcs = {s: -rows[s][u] for s in carriers[u]}  # backward arc costs, in set order
+            for v in arcs:
+                if done[v]:
+                    continue
+                rc = row[v] + pu - pot[v]
                 if clamp and rc < 0:
                     rc = 0.0
                 nd = du + rc
-                if v not in dist or nd < dist[v]:
+                dv = dist[v]
+                if dv is None or nd < dv:
                     dist[v] = nd
                     prev[v] = u
                     heappush(heap, (nd, v))
@@ -274,10 +288,10 @@ def _solve_min_cost(
         path.reverse()
         amount = min(left[s0], left[t0])
         for u, v in path:
-            if u not in sources:  # backward arc (sink u -> source v) carries flow (v, u)
+            if not is_source[u]:  # backward arc (sink u -> source v) carries flow (v, u)
                 amount = min(amount, flow[(v, u)])
         for u, v in path:
-            if u in sources:
+            if is_source[u]:
                 flow[(u, v)] = flow.get((u, v), zero) + amount
                 carriers[v].add(u)
             else:
@@ -288,8 +302,8 @@ def _solve_min_cost(
         left[s0] -= amount
         left[t0] -= amount
 
-        for v in pot:
-            pot[v] = pot[v] + (dist[v] if v in done else cap)
+        for v in nodes:
+            pot[v] = pot[v] + (dist[v] if done[v] else cap)
 
     return flow, pot
 
