@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from heapq import heappop, heappush
+from typing import Dict, List, Set
 
 import pytest
 
@@ -23,8 +25,13 @@ from lipfree import (
     restrict,
     validate_metric,
 )
-from lipfree.instances import line_space, random_functional, random_space
+from lipfree import transport
+from lipfree.errors import InternalError
+from lipfree.instances import line_space, random_functional, random_space, star_space
+from lipfree.metric import FiniteMetricSpace
+from lipfree.numerics import Number, coerce
 from lipfree.oracles import transport_cost_by_vertex_enumeration
+from lipfree.transport import Pair, _balanced_sides, _solve_min_cost
 
 LINE = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
@@ -249,3 +256,155 @@ def test_float_mode_duality_gap():
         res = optimal_coupling(fphi, sp)
         assert abs(res.value - evaluate(fphi, res.potential)) <= 1e-9
         assert res.potential.lip <= 1 + 1e-9
+
+
+# --- the solver's tables against the dict-based solver they replaced -------------
+#
+# ``_reference_solve_min_cost`` is ``transport._solve_min_cost`` as it stood
+# with dict and set tables, before they became point-indexed lists.  Both must
+# give the same flow, in the same insertion order, and the same potentials,
+# repr for repr, in both modes; and ``optimal_coupling`` built on either must
+# print the same result.
+
+_CLAMPS = [0]
+
+
+def _reference_solve_min_cost(
+    sources: Dict[int, Number], sinks: Dict[int, Number], space: FiniteMetricSpace
+):
+    """The solver as it was with dict and set tables; counts its clamps in ``_CLAMPS``."""
+    zero = coerce(0, space.exact)
+    src = sorted(sources)
+    snk = sorted(sinks)
+    left = {**sources, **sinks}
+    flow: Dict[Pair, Number] = {}
+    pot: Dict[int, Number] = {v: zero for v in src + snk}
+    carriers: Dict[int, Set[int]] = {t: set() for t in snk}
+    rows = space.dist
+    clamp = not space.exact  # float round-off guard; exact mode never needs it
+    # Float totals can disagree by a few ulps: a residue below this is spent.
+    eps_active = 0 if space.exact else 1e-12 * (1.0 + float(max(left.values())))
+
+    while True:
+        s0 = next((s for s in src if left[s] > eps_active), None)
+        if s0 is None:
+            break
+
+        # Dijkstra over reduced costs from s0, up to the cap.
+        dist: Dict[int, Number] = {s0: zero}
+        prev: Dict[int, int] = {}
+        done = set()
+        heap = [(zero, s0)]
+        best = None  # least (dist, t) over settled sinks with demand left
+        while heap:
+            du, u = heappop(heap)
+            if best is not None and du > best[0]:
+                break
+            if u in done:
+                continue
+            done.add(u)
+            pu = pot[u]
+            if u in sources:
+                row = rows[u]
+                arcs = [(t, row[t]) for t in snk if t not in done]
+            else:
+                if left[u] > eps_active and (best is None or (du, u) < best):
+                    best = (du, u)
+                arcs = [(s, -rows[s][u]) for s in carriers[u] if s not in done]
+            for v, cost in arcs:
+                rc = cost + pu - pot[v]
+                if clamp and rc < 0:
+                    _CLAMPS[0] += 1
+                    rc = 0.0
+                nd = du + rc
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = u
+                    heappush(heap, (nd, v))
+
+        if best is None:
+            raise InternalError("transport network disconnected; cannot happen on a complete bipartite graph")
+        cap, t0 = best
+
+        # Walk the path back and find the bottleneck.
+        path: List[Pair] = []
+        v = t0
+        while v != s0:
+            u = prev[v]
+            path.append((u, v))
+            v = u
+        path.reverse()
+        amount = min(left[s0], left[t0])
+        for u, v in path:
+            if u not in sources:  # backward arc (sink u -> source v) carries flow (v, u)
+                amount = min(amount, flow[(v, u)])
+        for u, v in path:
+            if u in sources:
+                flow[(u, v)] = flow.get((u, v), zero) + amount
+                carriers[v].add(u)
+            else:
+                flow[(v, u)] = flow[(v, u)] - amount
+                if flow[(v, u)] == 0:
+                    del flow[(v, u)]
+                    carriers[u].discard(v)
+        left[s0] -= amount
+        left[t0] -= amount
+
+        for v in pot:
+            pot[v] = pot[v] + (dist[v] if v in done else cap)
+
+    return flow, pot
+
+
+def _solve_cases():
+    """(name, functional, space): int64, ``object`` and float lattices, tie-heavy
+    line and star spaces in both modes, functionals whose imbalance the base
+    point takes as a sink or a source, float spaces whose reduced costs need
+    the clamp, and one full-support float n=128 case."""
+    rng = random.Random(2028)
+
+    def signed(space, sign):
+        return Functional({i: sign * rng.randint(1, 3) for i in range(1, space.n) if rng.random() < 0.6}, space)
+
+    def full(space, rng=rng):
+        return Functional({i: rng.choice([-3, -2, -1, 1, 2, 3]) for i in range(1, space.n)}, space)
+
+    huge = validate_metric([[F(v * (2**62 + 1), 7) for v in row] for row in random_space(12, 5).grid[0].tolist()])
+    assert huge.grid[0].dtype == object
+    spaces = [(f"int{n}s{seed}", random_space(n, seed)) for n in (5, 9, 16, 33) for seed in range(2)]
+    spaces += [(f"float{n}s{seed}", random_space(n, seed, exact=False)) for n in (9, 24, 40) for seed in range(2)]
+    spaces += [("object12", huge), ("line", line_space([0, 3, 1, 4, 2, 7, 5, 6])), ("star", star_space(9))]
+    spaces += [(f"{name}/float", sp.with_mode(exact=False)) for name, sp in spaces[-2:]]
+    for name, sp in spaces:
+        for k in range(3):
+            yield f"{name}/random{k}", random_functional(sp.with_mode(exact=True), rng.randrange(10**6)).coeffs, sp
+        yield f"{name}/to base", signed(sp, 1).coeffs, sp
+        yield f"{name}/from base", signed(sp, -1).coeffs, sp
+        yield f"{name}/full", full(sp).coeffs, sp
+    for seed in _CLAMP_SEEDS:
+        sp = validate_metric([[v * 0.1 for v in row] for row in random_space(16, seed, exact=False).dist], exact=False)
+        yield f"clamp{seed}", full(sp, random.Random(seed)).coeffs, sp
+    sp = random_space(128, 11, exact=False)
+    yield "float128/full", full(sp).coeffs, sp
+
+
+#: Seeds of 16-point float spaces (``random_space`` times 0.1) whose
+#: full-support functional makes the reference solver clamp most often among
+#: seeds 0-11: 8 to 23 negative reduced costs each.
+_CLAMP_SEEDS = (0, 3, 7, 11)
+
+
+@pytest.mark.parametrize("name,coeffs,space", [pytest.param(*case, id=case[0]) for case in _solve_cases()])
+def test_solver_tables_match_the_dict_based_solver(monkeypatch, name, coeffs, space):
+    phi = Functional(coeffs, space)
+    sources, sinks = _balanced_sides(phi, space)
+    before = _CLAMPS[0]
+    flow, pot = _solve_min_cost(sources, sinks, space)
+    ref_flow, ref_pot = _reference_solve_min_cost(sources, sinks, space)
+    if name.startswith("clamp"):
+        assert _CLAMPS[0] > before
+    assert repr(list(flow.items())) == repr(list(ref_flow.items()))
+    assert repr([pot[v] for v in ref_pot]) == repr(list(ref_pot.values()))
+    result = optimal_coupling(phi, space)
+    monkeypatch.setattr(transport, "_solve_min_cost", _reference_solve_min_cost)
+    assert repr(result) == repr(optimal_coupling(phi, space))
