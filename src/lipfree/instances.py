@@ -48,6 +48,46 @@ def star_space(leaves: int) -> FiniteMetricSpace:
     return validate_metric(rows, exact=True)
 
 
+def tree_space(vertices: int, points: int, seed: int, *, exact: bool = True):
+    """A random weighted tree's distances restricted to ``points`` of its
+    ``vertices`` vertices, with the tree: ``(space, (parent, weight, vertex))``.
+
+    Vertex v > 0 hangs from a uniformly random earlier vertex ``parent[v]``
+    by an edge of weight ``weight[v]`` = k/q, k in 1..12 and q in 1..4
+    (``parent[0]`` is None and ``weight[0]`` 0).  Point 0, the base point, is
+    vertex 0, and the other points are a random sample of the other
+    vertices in random order: ``vertex[i]`` is the vertex of point i.  The
+    vertices left out are Steiner points.
+    """
+    if not 1 <= points <= vertices:
+        raise ValueError(f"need 1 <= points <= vertices, got {points} and {vertices}")
+    rng = random.Random(seed)
+    parent = [None] + [rng.randrange(v) for v in range(1, vertices)]
+    weight = [Fraction(0)] + [Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4))) for _ in range(1, vertices)]
+    vertex = [0] + rng.sample(range(1, vertices), points - 1)
+    return _tree_space(parent, weight, vertex, exact), (parent, weight, vertex)
+
+
+def _tree_space(parent, weight, vertex, exact: bool) -> FiniteMetricSpace:
+    """The path metric of a tree, given with ``parent[v] < v`` and weights
+    that are multiples of 1/12, on the vertices ``vertex``.  The weight of
+    the edges a point and a second point share on their ways to vertex 0 is
+    the depth of their meeting vertex: one product of the points' ancestor
+    rows."""
+    depth = [0] * len(parent)
+    for v in range(1, len(parent)):
+        depth[v] = depth[parent[v]] + int(weight[v] * 12)
+    above = np.zeros((len(vertex), len(parent)), dtype=np.int64)  # 1 on each edge from a point to vertex 0
+    for i, v in enumerate(vertex):
+        while v:
+            above[i, v] = 1
+            v = parent[v]
+    shared = (above * [int(w * 12) for w in weight]) @ above.T
+    d = np.array([depth[v] for v in vertex])
+    w = d[:, None] + d[None, :] - 2 * shared
+    return validate_metric([[Fraction(int(v), 12) for v in row] for row in w], exact=exact)
+
+
 def random_functional(
     space: FiniteMetricSpace,
     seed: int,
