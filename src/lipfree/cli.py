@@ -3,7 +3,9 @@
 Commands: norm, coupling, potential, decompose (transport), check-monotone
 (certification), embed (coordinate families), gen-exotic (metric
 generator), selftest (acceptance suite).  Exit codes: 0 success, 1
-certified negative verdict, 2 input error, 3 internal fault.  Outputs are
+certified negative verdict, 2 input error, 3 internal fault.  Each command
+checks its arguments and the shape of its input before any solver runs;
+a ``ValueError`` raised after those checks is a fault, not bad input.  Outputs are
 byte-deterministic for fixed seeds: floats at 12 significant digits, fixed
 key order.  ``import lipfree.cli`` loads io, metric, numerics and errors;
 a command loads its own solver module (transport, monotonicity, embedding
@@ -35,6 +37,10 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+
+
+class _BadArgument(ValueError):
+    """An argument or input shape the command rejects before any solver runs."""
 
 
 def __getattr__(name):
@@ -103,7 +109,7 @@ def _emit(text: str, out: Optional[str]):
 
 def _load_space(args):
     if not 0 < args.tolerance < math.inf:
-        raise ValueError(f"--tolerance must be positive and finite, got {args.tolerance}")
+        raise _BadArgument(f"--tolerance must be positive and finite, got {args.tolerance}")
     exact = True if args.exact else None
     return lfio.load_space(args.input, exact=exact, tol=args.tolerance)
 
@@ -135,6 +141,12 @@ def _cmd_check_monotone(args) -> int:
 
 def _cmd_embed(args) -> int:
     space = _load_space(args)
+    if args.dim is not None and args.dim < 1:
+        raise _BadArgument("need at least one coordinate")
+    if args.dim is not None and args.iters < 1:
+        raise _BadArgument("need at least one iteration")
+    if space.n < 2:
+        raise _BadArgument("need at least two points to embed")
     if args.dim is None:
         report = _cli.frechet_embedding(space)
     else:
@@ -154,6 +166,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_gen_exotic(args) -> int:
+    if args.N < 2:
+        raise _BadArgument("need at least two points")
     em = _cli.exotic_metric(args.N)
     space = em.as_space()
     text = lfio.space_csv(space) if args.out and args.out.endswith(".csv") else lfio.space_json(space)
@@ -182,7 +196,7 @@ def _cmd_gen_exotic(args) -> int:
 
 def _cmd_selftest(args) -> int:
     if args.iters is not None and args.iters < 1:
-        raise ValueError(f"--iters must be at least 1, got {args.iters}")
+        raise _BadArgument(f"--iters must be at least 1, got {args.iters}")
     from .selftest import run_acceptance
 
     results = run_acceptance(limit=args.iters, stream=sys.stdout)
@@ -197,7 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # handler, so an unknown level is rejected here: bad input like any other.
         level = os.environ.get("LIPFREE_LOG", "WARNING").upper()
         if not isinstance(logging.getLevelName(level), int):
-            raise ValueError(f"Unknown level: {level!r}")
+            raise _BadArgument(f"Unknown level: {level!r}")
         logging.basicConfig(level=level)
         args = _build_parser().parse_args(argv)
         log.info("running %s", args.command)
@@ -205,9 +219,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Error as exc:
         sys.stderr.write(lfio.dumps({"error": exc.payload()}))
         return EXIT_INTERNAL_ERROR if isinstance(exc, InternalError) else EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # bad input only when an argument check raised it
+        if not isinstance(exc, _BadArgument):
+            log.debug("internal fault", exc_info=True)
         sys.stderr.write(lfio.dumps({"error": {"type": "ValueError", "message": str(exc)}}))
-        return EXIT_INPUT_ERROR
+        return EXIT_INPUT_ERROR if isinstance(exc, _BadArgument) else EXIT_INTERNAL_ERROR
     except Exception as exc:  # no lipfree error and no bad input: a fault of the program
         log.debug("internal fault", exc_info=True)
         sys.stderr.write(lfio.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -237,10 +237,15 @@ class OutOfRange(Error):
 
 
 def jsonable_number(x: Number) -> float:
+    """``round12(x)``; an exact answer past float's range, or a float one
+    that overflowed to infinity, is ``OutOfRange``."""
     try:
-        return round12(x)
+        r = round12(x)
     except OverflowError:
-        raise OutOfRange("an answer is past float's range and cannot be written") from None
+        r = math.inf
+    if math.isinf(r):
+        raise OutOfRange("an answer is past float's range and cannot be written")
+    return r
 
 
 def space_json(space: FiniteMetricSpace) -> str:

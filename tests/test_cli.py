@@ -345,13 +345,15 @@ def test_internal_error_exits_three(monkeypatch, capsys, line_files):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InternalError"
 
 
-def test_unclassified_exception_exits_three_and_value_error_two(monkeypatch, capsys, line_files):
+def test_unclassified_exception_and_solver_value_error_exit_three(monkeypatch, capsys, line_files):
+    # The arguments and the input passed their checks, so a ValueError from
+    # the solver is a fault of the program, not bad input.
     space, phi = line_files
     argv = ["norm", "--input", str(space), "--functional", str(phi)]
     for exc, code, body in (
         (KeyError("lost"), 3, {"type": "KeyError", "message": "'lost'"}),
         (ZeroDivisionError("nothing"), 3, {"type": "ZeroDivisionError", "message": "nothing"}),
-        (ValueError("bad"), 2, {"type": "ValueError", "message": "bad"}),
+        (ValueError("bad"), 3, {"type": "ValueError", "message": "bad"}),
     ):
         def broken(*args, exc=exc, **kwargs):
             raise exc
@@ -360,6 +362,52 @@ def test_unclassified_exception_exits_three_and_value_error_two(monkeypatch, cap
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == "" and json.loads(captured.err) == {"error": body}
+
+
+@pytest.mark.parametrize("command,solver", [
+    (["embed"], "frechet_embedding"),
+    (["embed", "--dim", "2"], "best_embedding_search"),
+    (["check-monotone"], "check_cyclically_monotone"),
+    (["gen-exotic", "--N", "8"], "exotic_metric"),
+])
+def test_value_error_from_any_solver_exits_three(monkeypatch, capsys, tmp_path, line_files, command, solver):
+    space, _ = line_files
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": [["a", "b"]]}))
+    argv = command + ([] if command[0] == "gen-exotic" else ["--input", str(space)])
+    argv += ["--pairs", str(pairs)] if command[0] == "check-monotone" else []
+
+    def broken(*args, **kwargs):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr(cli, solver, broken)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {"error": {"type": "ValueError", "message": "solver fault"}}
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_gen_exotic_below_two_points_is_input_error(capsys, n):
+    assert cli.main(["gen-exotic", "--N", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": "need at least two points"}
+
+
+@pytest.mark.parametrize("command", ["norm", "coupling", "potential", "decompose"])
+def test_float_answer_overflowing_to_infinity_is_out_of_range(capsys, tmp_path, command):
+    # Finite input whose float answer overflows: the exact case's OutOfRange,
+    # not the JSON encoder's ValueError.
+    n = 66
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"labels": [f"p{i}" for i in range(n)],
+                                 "dist": [[0 if i == j else 1e300 for j in range(n)] for i in range(n)]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"coeffs": {"p1": 1e300, "p2": -1e300}}))
+    assert cli.main([command, "--input", str(space), "--functional", str(phi)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == {
+        "type": "OutOfRange", "message": "an answer is past float's range and cannot be written"}
 
 
 def test_norm_and_decompose_print_the_same_value(tmp_path):
