@@ -219,12 +219,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Error as exc:
         sys.stderr.write(lfio.dumps({"error": exc.payload()}))
         return EXIT_INTERNAL_ERROR if isinstance(exc, InternalError) else EXIT_INPUT_ERROR
-    except ValueError as exc:  # bad input only when an argument check raised it
-        if not isinstance(exc, _BadArgument):
-            log.debug("internal fault", exc_info=True)
+    except _BadArgument as exc:
         sys.stderr.write(lfio.dumps({"error": {"type": "ValueError", "message": str(exc)}}))
-        return EXIT_INPUT_ERROR if isinstance(exc, _BadArgument) else EXIT_INTERNAL_ERROR
-    except Exception as exc:  # no lipfree error and no bad input: a fault of the program
+        return EXIT_INPUT_ERROR
+    except Exception as exc:  # no lipfree error and no bad argument: a fault of the program
         log.debug("internal fault", exc_info=True)
         sys.stderr.write(lfio.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_INTERNAL_ERROR
