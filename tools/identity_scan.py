@@ -314,7 +314,7 @@ def _monotonicity_cases(lf, name, space, rng, size):
 
 
 def _tie_spaces(n, rng):
-    """(name, exact space): ``n`` points on a line at distinct small integers,
+    """(name, distance rows): ``n`` points on a line at distinct small integers,
     a star of ``n - 1`` leaves around the base point, and a taxicab grid of
     about ``n`` points; every distance is a small integer, so many paths tie."""
     positions = [0] + sorted(int(v) for v in rng.choice(range(1, 2 * n), size=n - 1, replace=False))
