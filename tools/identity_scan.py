@@ -27,7 +27,10 @@ both trees answer the same questions.  Families:
   positive and signed pair measures; and ``optimal_coupling`` on tie-heavy
   line, star and taxicab-grid spaces in both modes, with functionals whose
   imbalance the base point takes on either side, on float spaces where the
-  solver clamps negative reduced costs, and on one full-support float space;
+  solver clamps negative reduced costs, on one full-support float space, and
+  on the exact spaces scaled near both ends of float's range (int64 and
+  ``object`` lattices); and ``oracles.tree_norm`` next to
+  ``optimal_coupling`` on exact tree spaces with Steiner points;
 - ``monotonicity``: cyclical-monotonicity certificates on random,
   geodesic, reversed-geodesic, one-pair and repeated-pair sets in both
   modes, on the solver spaces and on an exact space whose lattice holds
@@ -87,10 +90,11 @@ _CLAMP_SEEDS = (23, 36, 58, 54, 27, 26)
 SCALES = {
     "tiny": {"validate": (3, 9), "exact": (6,), "float": (66,), "seeds": 1, "pairs": 12, "csv_texts": 8,
              "csv": (66,), "csv_functionals": 1, "scaled": 4, "huge": 6,
-             "ties": (7,), "clamp": _CLAMP_SEEDS[:2], "full_support": 66, "bits": 64},
+             "ties": (7,), "clamp": _CLAMP_SEEDS[:2], "full_support": 66, "bits": 64, "trees": (9,)},
     "full": {"validate": (3, 9, 20, 33, 64, 65, 130), "exact": (8, 20, 40, 64), "float": (66, 100, 128), "seeds": 3,
              "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24, "scaled": 12, "huge": 20,
-             "ties": (7, 16, 33), "clamp": _CLAMP_SEEDS, "full_support": 128, "bits": 4000},
+             "ties": (7, 16, 33), "clamp": _CLAMP_SEEDS, "full_support": 128, "bits": 4000,
+             "trees": (9, 17, 33, 48, 64)},
 }
 
 #: Powers of two that put a closure's distances near both ends of float's
@@ -356,6 +360,52 @@ def _transport_cases(lf, sizes):
     yield "transport", f"full_support{n}", _outcome(lambda: lf.optimal_coupling(phi, space))
 
 
+def _tree(points, rng):
+    """(distance rows, (parent, weight, vertex)): a random recursive tree on
+    about 1.5 times ``points`` vertices with weights k/q (k in 1..12, q in
+    1..4), restricted to vertex 0 (the base point) and a random sample of
+    the others; the vertices left out are Steiner points."""
+    vertices = points + points // 2
+    parent = [None] + [int(rng.integers(0, v)) for v in range(1, vertices)]
+    weight = [Fraction(0)] + [Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 5))) for _ in range(1, vertices)]
+    vertex = [0] + sorted(int(v) for v in rng.choice(range(1, vertices), size=points - 1, replace=False))
+    up = []  # each point's ancestors (itself first) with its distance to each
+    for v in vertex:
+        chain, total = {}, Fraction(0)
+        while v is not None:
+            chain[v] = total
+            total, v = total + weight[v], parent[v]
+        up.append(chain)
+    rows = [[min(a[v] + b[v] for v in a if v in b) for b in up] for a in up]
+    return rows, (parent, weight, vertex)
+
+
+def _tree_cases(lf, sizes):
+    """``oracles.tree_norm`` and ``optimal_coupling`` of random functionals
+    on exact tree spaces, whose geodesic ties make many paths tie."""
+    import numpy as np
+
+    from lipfree import oracles
+
+    rng = np.random.default_rng(20261023)
+    for points in sizes["trees"]:
+        rows, tree = _tree(points, rng)
+        space = lf.validate_metric(rows, exact=True)
+        for support in (None, points // 3):
+            phi = _functional(lf, space, rng, support)
+            case = f"tree{points}/support={support}"
+            yield "transport", f"{case}/tree_norm", _outcome(lambda: oracles.tree_norm(phi, tree))
+            yield "transport", case, _outcome(lambda: lf.optimal_coupling(phi, space))
+
+
+def _scaled_transport_cases(lf, name, space, rng):
+    """``optimal_coupling`` on an exact space scaled near an end of float's
+    range, with a full-support functional and a random one."""
+    full = lf.Functional({i: int(rng.choice([-3, -2, -1, 1, 2, 3])) for i in range(1, space.n)}, space)
+    for phi_name, phi in (("full", full), ("random", _functional(lf, space, rng))):
+        yield "transport", f"{name}/{phi_name}", _outcome(lambda: lf.optimal_coupling(phi, space))
+
+
 def _coerce_cases(sizes):
     """``coerce`` in both modes on random 64-bit patterns read as floats
     (any sign, exponent and payload, NaN and infinity included) and on the
@@ -439,12 +489,16 @@ def corpus(scale):
         yield from _monotonicity_cases(lf, name, space, rng, sizes["pairs"])
 
     yield from _transport_cases(lf, sizes)
+    yield from _tree_cases(lf, sizes)
 
     n = sizes["huge"]  # distances near 2**62 * 48 / 7: the lattice and the pair graph hold Python ints
     huge = lf.validate_metric([[Fraction(v * (2**62 + 1), 7) for v in r] for r in _closure(n, rng)])
     yield from _monotonicity_cases(lf, f"huge{n}", huge, rng, sizes["pairs"])
 
+    scaled_rng = np.random.default_rng(20261024)
     for name, space in _scaled_spaces(lf, rng, sizes["scaled"]):
+        if isinstance(space, lf.FiniteMetricSpace) and space.exact:
+            yield from _scaled_transport_cases(lf, name, space, scaled_rng)
         for step in ("", "/with_mode", "/with_mode/back"):
             if step:
                 space = _outcome(lambda: space.with_mode(exact=not space.exact))
