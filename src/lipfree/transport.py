@@ -205,10 +205,24 @@ def _solve_min_cost(
     while s carries flow into t.  ``carriers[t]`` keeps those sources, so a
     settled sink relaxes only its own backward arcs.
 
-    * Order: a heap of ``(dist, point)`` entries settles points by the
-      least unsettled ``(dist[v], v)``; an entry whose point is already
+    * Order: a heap of ``(key, dist, point)`` entries, the key being the
+      distance or in exact mode its float, settles points by the least
+      unsettled ``(dist[v], v)``: rounding is monotone, and a float tie
+      falls back to the exact pair.  An entry whose point is already
       settled is stale and skipped.  Arcs into settled points are not
       relaxed, since nonnegative reduced costs cannot lower their distance.
+    * Screen (exact mode): ``frows``, ``fpot`` and ``fdist`` shadow the
+      sources' distance rows, ``pot`` (refreshed in the potential update)
+      and ``dist`` by ``float()``, within 2**-53 relative plus 2**-1075.
+      An arc into a reached point v is skipped, building no ``Fraction``,
+      when ``fdu + fpot[u] + cost - fpot[v] - fdist[v] > margin``: then
+      nd > dist[v], and strict < cannot fire.  Its operands' magnitudes
+      sum to at most 5 * (D + max pot), D the largest distance, so the
+      estimate errs by under 4 * 2**-53 times that plus 5 * 2**-1075, and
+      ``margin`` is 2**-47 * (D + max pot) + 2**-1070.  A search converts
+      numbers below 2 * (D + max pot), and an augmentation at most doubles
+      D + max pot, so the screen stays on while D + max pot < 2**1020 and
+      is off for the rest of the solve after; float mode has none.
     * Stop: ``cap`` is the distance of the least ``(dist, t)`` settled
       sink with demand left.  The search stops once the next entry lies
       above the cap.  Every point at or below the cap is settled by then,
@@ -232,6 +246,11 @@ def _solve_min_cost(
     # Float totals can disagree by a few ulps: a residue below this is spent.
     eps_active = 0 if space.exact else 1e-12 * (1.0 + float(max(left)))
     first = 0  # src[first] is the first source that may have supply left
+    a, scale = space.grid
+    screen = space.exact and int(a.max()) < 2**1020 * scale
+    if screen:
+        ftop, fpot = int(a.max()) / scale, [0.0] * n
+        frows = {s: list(map(float, rows[s])) for s in src}
 
     while True:
         while first < len(src) and not left[src[first]] > eps_active:
@@ -239,16 +258,21 @@ def _solve_min_cost(
         if first == len(src):
             break
         s0 = src[first]
+        if screen:  # every number converted in this search is below 2 * fmax
+            fmax = ftop + max(fpot)
+            screen = fmax < 2.0**1020
+            margin = fmax * 2.0**-47 + 2.0**-1070
 
         # Dijkstra over reduced costs from s0, up to the cap.
         dist: List[Number | None] = [None] * n
+        fdist = [0.0] * n
         prev: List[int] = [0] * n
         done = [False] * n
         dist[s0] = zero
-        heap = [(zero, s0)]
+        heap = [(0.0 if screen else zero, zero, s0)]
         best = None  # least (dist, t) over settled sinks with demand left
         while heap:
-            du, u = heappop(heap)
+            fdu, du, u = heappop(heap)
             if best is not None and du > best[0]:
                 break
             if done[u]:
@@ -256,23 +280,28 @@ def _solve_min_cost(
             done[u] = True
             pu = pot[u]
             if is_source[u]:
-                row, arcs = rows[u], snk
+                row, arcs, frow = rows[u], snk, screen and frows[u]
             else:
                 if left[u] > eps_active and (best is None or (du, u) < best):
                     best = (du, u)
                 row = arcs = {s: -rows[s][u] for s in carriers[u]}  # backward arc costs, in set order
+                frow = screen and {s: -frows[s][u] for s in carriers[u]}
+            fu = screen and fdu + fpot[u]
             for v in arcs:
                 if done[v]:
                     continue
+                dv = dist[v]
+                if screen and dv is not None and fu + frow[v] - fpot[v] - fdist[v] > margin:
+                    continue  # nd > dv, so strict < cannot fire
                 rc = row[v] + pu - pot[v]
                 if clamp and rc < 0:
                     rc = 0.0
                 nd = du + rc
-                dv = dist[v]
                 if dv is None or nd < dv:
                     dist[v] = nd
                     prev[v] = u
-                    heappush(heap, (nd, v))
+                    fdist[v] = key = float(nd) if screen else nd
+                    heappush(heap, (key, nd, v))
 
         if best is None:
             raise InternalError("transport network disconnected; cannot happen on a complete bipartite graph")
@@ -304,6 +333,8 @@ def _solve_min_cost(
 
         for v in nodes:
             pot[v] = pot[v] + (dist[v] if done[v] else cap)
+        if screen:
+            fpot = list(map(float, pot))
 
     return flow, pot
 
