@@ -102,7 +102,17 @@ class FiniteMetricSpace:
     @cached_property
     def dist(self) -> Tuple[Tuple[Number, ...], ...]:
         """``grid`` as nested tuples (``_grid_rows``), built on first read."""
-        return tuple(map(tuple, _grid_rows(*self.grid, self.exact)))
+        if not self.exact:
+            return tuple(map(tuple, self.grid[0].tolist()))
+        values, where = self._numbers
+        return tuple(map(tuple, np.array(values, dtype=object)[where].tolist()))
+
+    @cached_property
+    def _numbers(self) -> Tuple[List[Number], np.ndarray]:
+        """Exact mode: ``_distinct`` of ``grid``, so that each distinct
+        distance becomes a ``Fraction`` once per space; ``dist`` and
+        ``_pair_distances`` read it."""
+        return _distinct(*self.grid, True)
 
     def _key(self) -> tuple:  # equal matrices have equal grids: ``_lattice`` scales by the lcm
         a, scale = self.grid
@@ -389,9 +399,11 @@ def _grid_rows(a: np.ndarray, scale: int, exact: bool) -> List[List[Number]]:
 
 def _pair_distances(pairs: Iterable[Tuple[int, int]], space: FiniteMetricSpace) -> List[Number]:
     """``space.d(x, y)`` of each pair (x, y), in one gather from ``space.grid``."""
-    a, scale = space.grid
     xy = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 2)
-    return _grid_rows(a[xy[:, 0], xy[:, 1]], scale, space.exact)
+    if not space.exact:
+        return space.grid[0][xy[:, 0], xy[:, 1]].tolist()
+    values, where = space._numbers
+    return list(map(values.__getitem__, where[xy[:, 0], xy[:, 1]].tolist()))
 
 
 def _on_lattice(
