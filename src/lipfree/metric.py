@@ -101,7 +101,8 @@ class FiniteMetricSpace:
 
     @cached_property
     def dist(self) -> Tuple[Tuple[Number, ...], ...]:
-        """``grid`` as nested tuples (``_grid_rows``), built on first read."""
+        """``grid`` as nested tuples of the numbers ``_grid_rows`` gives,
+        built on first read; exact mode reads them from ``_numbers``."""
         if not self.exact:
             return tuple(map(tuple, self.grid[0].tolist()))
         values, where = self._numbers

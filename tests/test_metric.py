@@ -42,6 +42,7 @@ from lipfree.metric import (
     NonzeroDiagonal,
     _int_dtype,
     _lattice,
+    _pair_distances,
     _pinned_envelope,
     _ratio_extreme,
     _ratio_extremes,
@@ -973,3 +974,14 @@ def test_distance_readers_gather_from_the_grid_as_space_d_reads(kind):
     assert list(map(repr, answers)) == list(map(repr, wanted))
     # optimal_coupling's representation, on the space the solve ran on.
     assert repr(rep) == repr(PairMeasure({p: m * d(*p) for p, m in result.coupling.mass.items()}))
+
+
+@pytest.mark.parametrize("kind", ["int64", "object"])
+def test_each_distinct_distance_is_one_number_per_space(kind):
+    # _pair_distances and dist read one table of the space's distinct
+    # distances, so repeated reads share each Fraction instead of building it.
+    space = _reader_space(kind)
+    pairs = list(space.pairs())
+    first, again = _pair_distances(pairs, space), _pair_distances(pairs, space)
+    assert first == again == [space.d(x, y) for x, y in pairs]
+    assert len(set(map(id, first + again + [space.dist[x][y] for x, y in pairs]))) == len(set(first))

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import random
@@ -31,9 +32,10 @@ from lipfree.instances import (
     monotone_pair_set,
     random_pair_set,
     random_space,
+    star_space,
 )
 from lipfree.metric import _pinned_envelope
-from lipfree.monotonicity import FLOAT_CYCLE_EPS, CycleCertificate, _bellman_ford
+from lipfree.monotonicity import FLOAT_CYCLE_EPS, CycleCertificate, _bellman_ford, _lattice_pair_graph
 
 
 @pytest.mark.parametrize(
@@ -309,20 +311,26 @@ def _fraction_path(C, sp):
     n = len(nodes)
     _, pred, flagged = _bellman_ford(weight, [Fraction(0)] * n)
     if flagged >= 0:
-        v = flagged
-        for _ in range(n):
-            v = pred[v]
-        cycle, u = [v], pred[v]
-        while u != v:
-            cycle.append(u)
-            u = pred[u]
-        cycle = tuple(nodes[i] for i in reversed(cycle))
+        cycle = _named_cycle(pred, flagged, nodes)
         return CycleCertificate(False, cycle, cycle_slack(cycle, sp)), None
     if not n:
         return CycleCertificate(True), None
     dist, _, _ = _bellman_ford(weight, list(weight[0]))
     values = [sp.d(x, y) - dp for (x, y), dp in zip(nodes, dist)]
     return CycleCertificate(True), _pinned_envelope([x for x, _ in nodes], values, sp)
+
+
+def _named_cycle(pred, flagged, nodes):
+    """The cycle that a Bellman-Ford state names, walked as the check walks
+    it: n steps back from ``flagged``, then round the cycle."""
+    v = flagged
+    for _ in nodes:
+        v = pred[v]
+    cycle, u = [v], pred[v]
+    while u != v:
+        cycle.append(u)
+        u = pred[u]
+    return tuple(nodes[i] for i in reversed(cycle))
 
 
 def _geodesic_sets(sp, seed):
@@ -396,3 +404,96 @@ def test_only_float_and_violating_sets_run_the_fraction_bellman_ford(monkeypatch
         with pytest.raises(NotMonotone) if pairs is rev else contextlib.nullcontext():
             build_extremal_potential(C, space)
         assert bool(calls) == runs
+
+
+# --- Bellman-Ford's rounds on a violating set end in a uniform shift ------------
+#
+# A Gauss-Seidel round commutes with adding one constant to every distance:
+# each comparison di + w < dj is unchanged, so the same arcs relax with the
+# same pred.  Once a round's dist is the previous round's plus a constant
+# delta, every later round adds delta too and writes the same pred and
+# flagged, so the state after the last round is known after that round.
+
+
+def _lattice_rounds(weight, dist):
+    """``_bellman_ford`` on lattice integers, yielding (dist, pred, flagged)
+    after each round; the integers are the ``Fraction`` weights times one
+    positive scale, so every comparison decides as the ``Fraction`` one."""
+    n = len(weight)
+    pred = [-1] * n
+    for _ in range(n):
+        flagged = -1
+        for i in range(n):
+            di, wi = dist[i], weight[i]
+            for j in range(n):
+                nd = di + wi[j]
+                if nd < dist[j]:
+                    dist[j], pred[j], flagged = nd, i, j
+        yield list(dist), list(pred), flagged
+        if flagged < 0:
+            return
+
+
+def _reversed_geodesic(sp, rng, size):
+    """At most ``size`` pairs of a geodesic set towards a point z, holding an
+    inner pair (x, y) turned round and (x, z): a violating 2-cycle."""
+    while True:
+        z = rng.randrange(sp.n)
+        geo = [(x, y) for x, y in sp.pairs() if sp.d(x, z) == sp.d(x, y) + sp.d(y, z)]
+        inner = [(x, y) for x, y in geo if y != z]
+        if inner:
+            break
+    x, y = rng.choice(inner)
+    rest = [p for p in geo if p not in ((x, y), (x, z))]
+    return rng.sample(rest, min(len(rest), size - 2)) + [(y, x), (x, z)]
+
+
+def _violating_candidates():
+    """(space, pairs): random and reversed-geodesic sets of 3-12 pairs on
+    random spaces, tie-heavy line and star spaces, and a space whose lattice
+    holds Python ints (``object``)."""
+    base = random_space(12, 31)
+    spaces = [random_space(n, seed) for n, seed in ((9, 1), (12, 2), (16, 3))]
+    spaces += [line_space([0, 3, 1, 4, 2, 7, 5, 6, 9]), star_space(8)]
+    spaces.append(validate_metric([[v * Fraction(2**62 + 1, 7) for v in row] for row in base.dist]))
+    assert spaces[-1].grid[0].dtype == object
+    rng = random.Random(2029)
+    for k, sp in enumerate(spaces):
+        for seed in range(36):
+            yield sp, random_pair_set(sp, 100 * k + seed, size=3 + seed % 10).pairs
+            yield sp, _reversed_geodesic(sp, rng, 3 + seed % 10)
+
+
+def test_bellman_ford_rounds_on_violating_sets_end_in_a_uniform_shift(monkeypatch):
+    returned = []
+
+    def recorded(weight, dist):
+        returned.append(_bellman_ford(weight, dist))
+        return returned[-1]
+
+    monkeypatch.setattr(monotonicity, "_bellman_ford", recorded)
+    shift_after = collections.Counter()  # round (from 0) whose dist starts the shift
+    for sp, pairs in _violating_candidates():
+        C = PairSet.of(pairs, sp)
+        returned.clear()
+        cert = check_cyclically_monotone(C, sp)
+        if cert.monotone:
+            continue
+        (ref_dist, ref_pred, ref_flagged), = returned
+        nodes, weight, scale = _lattice_pair_graph(C, sp)
+        n = len(nodes)
+        before = [0] * n
+        for r, (dist, pred, flagged) in enumerate(_lattice_rounds(weight.tolist(), [0] * n)):
+            delta = dist[0] - before[0]
+            if all(d - b == delta for d, b in zip(dist, before)):
+                break
+            before = dist
+        else:  # no shift before the last round: an exit would not fire
+            shift_after["none"] += 1
+            continue
+        assert delta < 0 and flagged >= 0
+        final = [Fraction(d + (n - 1 - r) * delta, scale) for d in dist]
+        assert (final, pred, flagged) == (ref_dist, ref_pred, ref_flagged)
+        assert _named_cycle(pred, flagged, nodes) == cert.cycle
+        shift_after[r] += 1
+    assert sum(shift_after.values()) - shift_after["none"] >= 300

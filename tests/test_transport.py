@@ -27,7 +27,7 @@ from lipfree import (
 )
 from lipfree import transport
 from lipfree.errors import InternalError
-from lipfree.instances import line_space, random_functional, random_space, star_space
+from lipfree.instances import line_space, random_functional, random_space, star_space, tree_space
 from lipfree.metric import FiniteMetricSpace
 from lipfree.numerics import Number, coerce
 from lipfree.oracles import transport_cost_by_vertex_enumeration
@@ -264,7 +264,8 @@ def test_float_mode_duality_gap():
 # with dict and set tables, before they became point-indexed lists.  Both must
 # give the same flow, in the same insertion order, and the same potentials,
 # repr for repr, in both modes; and ``optimal_coupling`` built on either must
-# print the same result.
+# print the same result.  The reference has no float screen, so the cases
+# where the screen's shadows tie, are subnormal or would overflow check it.
 
 _CLAMPS = [0]
 
@@ -360,7 +361,9 @@ def _solve_cases():
     """(name, functional, space): int64, ``object`` and float lattices, tie-heavy
     line and star spaces in both modes, functionals whose imbalance the base
     point takes as a sink or a source, float spaces whose reduced costs need
-    the clamp, and one full-support float n=128 case."""
+    the clamp, one full-support float n=128 case, an exact space whose
+    distances differ far below float's resolution, and exact spaces scaled
+    by 2**k for each k of ``_SCALE_EXPONENTS``."""
     rng = random.Random(2028)
 
     def signed(space, sign):
@@ -386,7 +389,24 @@ def _solve_cases():
         yield f"clamp{seed}", full(sp, random.Random(seed)).coeffs, sp
     sp = random_space(128, 11, exact=False)
     yield "float128/full", full(sp).coeffs, sp
+    base = random_space(24, 13)
+    # 2**56 times a tree metric, which ties many path sums, plus a small
+    # metric that breaks those ties by less than float's resolution.
+    tree, _ = tree_space(30, 24, 3)
+    sp = validate_metric([[2**56 * a + b for a, b in zip(*rows)] for rows in zip(tree.dist, base.dist)])
+    yield "near_tie24/full", full(sp).coeffs, sp
+    yield "near_tie24/random", random_functional(sp, rng.randrange(10**6)).coeffs, sp
+    for k in _SCALE_EXPONENTS:  # as tools/identity_scan.py's _scaled_spaces builds them
+        for lattice, c in (("int", 1), ("big", F(10**20 + 39, 10**19 + 7))):
+            sp = validate_metric([[d * c * F(2) ** k for d in row] for row in base.dist])
+            for phi_name, phi in (("full", full(sp)), ("random", random_functional(sp, rng.randrange(10**6)))):
+                yield f"{lattice}24*2**{k}/{phi_name}", phi.coeffs, sp
 
+
+#: Powers of two that put an exact space's float shadows (see
+#: ``_solve_min_cost``) below float's range, subnormal, normal, near its top
+#: and past it, where the solver turns them off.
+_SCALE_EXPONENTS = (-1100, -1074, -1022, 0, 1000, 1030)
 
 #: Seeds of 16-point float spaces (``random_space`` times 0.1) whose
 #: full-support functional makes the reference solver clamp most often among
