@@ -212,8 +212,9 @@ def _solve_min_cost(
       settled is stale and skipped.  Arcs into settled points are not
       relaxed, since nonnegative reduced costs cannot lower their distance.
     * Screen (exact mode): ``frows``, ``fpot`` and ``fdist`` shadow the
-      sources' distance rows, ``pot`` (refreshed in the potential update)
-      and ``dist`` by ``float()``, within 2**-53 relative plus 2**-1075.
+      sources' distances to the sinks, ``pot`` (refreshed in the potential
+      update) and ``dist`` by ``float()``, within 2**-53 relative plus
+      2**-1075.
       An arc into a reached point v is skipped, building no ``Fraction``,
       when ``fdu + fpot[u] + cost - fpot[v] - fdist[v] > margin``: then
       nd > dist[v], and strict < cannot fire.  Its operands' magnitudes
@@ -250,7 +251,7 @@ def _solve_min_cost(
     screen = space.exact and int(a.max()) < 2**1020 * scale
     if screen:
         ftop, fpot = int(a.max()) / scale, [0.0] * n
-        frows = {s: list(map(float, rows[s])) for s in src}
+        frows = {s: {t: float(rows[s][t]) for t in snk} for s in src}
 
     while True:
         while first < len(src) and not left[src[first]] > eps_active:
@@ -333,8 +334,8 @@ def _solve_min_cost(
 
         for v in nodes:
             pot[v] = pot[v] + (dist[v] if done[v] else cap)
-        if screen:
-            fpot = list(map(float, pot))
+            if screen:
+                fpot[v] = float(pot[v])
 
     return flow, pot
 
