@@ -71,10 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the result here instead of stdout")
         return p
 
-    # keys: the keys of io.transport_doc the command prints, in order; None
-    # prints them all, and decompose prints a document of its own.
-    for name, keys in (("norm", ("value", "value_exact")), ("coupling", None),
-                       ("potential", ("value", "potential", "value_exact")), ("decompose", None)):
+    # keys: the parts of io.transport_doc the command prints, in order; only those are built.
+    for name, keys in (("norm", ("value", "value_exact")),
+                       ("coupling", ("value", "coupling", "representation", "potential", "value_exact")),
+                       ("potential", ("value", "potential", "value_exact")), ("decompose", ("value", "molecules"))):
         common(sub.add_parser(name), functional=True).set_defaults(run=_cmd_transport, keys=keys)
     common(sub.add_parser("check-monotone"), pairs=True).set_defaults(run=_cmd_check_monotone)
 
@@ -119,15 +119,7 @@ def _cmd_transport(args) -> int:
     space = _load_space(args)
     phi = lfio.load_functional(args.functional, space)
     result = _cli.optimal_coupling(phi, space)
-    if args.command == "decompose":  # molecules read off the optimal representation
-        doc = {
-            "value": lfio.jsonable_number(result.value),
-            "molecules": lfio.measure_doc(result.representation, space),
-        }
-    else:
-        doc = lfio.transport_doc(result, space)
-        doc = {k: doc[k] for k in args.keys or doc if k in doc}
-    _emit(lfio.dumps(doc), args.out)
+    _emit(lfio.dumps(lfio.transport_doc(result, space, args.keys)), args.out)
     return EXIT_OK
 
 

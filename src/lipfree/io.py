@@ -52,7 +52,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -298,16 +298,19 @@ def measure_doc(mu: PairMeasure, space: FiniteMetricSpace) -> List:
     ]
 
 
-def transport_doc(result: TransportResult, space: FiniteMetricSpace) -> Dict:
-    doc = {
-        "value": jsonable_number(result.value),
-        "coupling": measure_doc(result.coupling, space),
-        "representation": measure_doc(result.representation, space),
-        "potential": potential_doc(result.potential, space),
+def transport_doc(result: TransportResult, space: FiniteMetricSpace, keys: Sequence[str]) -> Dict:
+    """The parts of a transport answer named in ``keys``, in order, each built
+    only if named; ``value_exact`` is skipped in float mode, and ``molecules``
+    is the representation read as molecules."""
+    parts = {
+        "value": lambda: jsonable_number(result.value),
+        "value_exact": lambda: exact_repr(result.value),
+        "coupling": lambda: measure_doc(result.coupling, space),
+        "representation": lambda: measure_doc(result.representation, space),
+        "molecules": lambda: measure_doc(result.representation, space),
+        "potential": lambda: potential_doc(result.potential, space),
     }
-    if space.exact:
-        doc["value_exact"] = exact_repr(result.value)
-    return doc
+    return {k: parts[k]() for k in keys if space.exact or k != "value_exact"}
 
 
 def certificate_doc(cert: CycleCertificate, space: FiniteMetricSpace) -> Dict:

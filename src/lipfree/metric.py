@@ -87,8 +87,8 @@ class FiniteMetricSpace:
     ``grid`` is the stored matrix: a read-only array and its scale.  Exact
     mode: the distances times the lcm of their denominators, as integers
     (see ``_lattice``).  Float mode: the distances as float64, scale 1.
-    ``dist`` is a public view; inside the library only ``d`` and
-    ``transport._solve_min_cost`` read it, and the rest read ``grid``.
+    ``dist`` is a public view; inside the library only ``d`` reads it, and
+    every computation reads ``grid``.
     """
 
     labels: Tuple[str, ...]
@@ -101,18 +101,13 @@ class FiniteMetricSpace:
 
     @cached_property
     def dist(self) -> Tuple[Tuple[Number, ...], ...]:
-        """``grid`` as nested tuples of the numbers ``_grid_rows`` gives,
-        built on first read; exact mode reads them from ``_numbers``."""
-        if not self.exact:
-            return tuple(map(tuple, self.grid[0].tolist()))
-        values, where = self._numbers
-        return tuple(map(tuple, np.array(values, dtype=object)[where].tolist()))
+        """``grid`` as nested tuples of the numbers ``_grid_rows`` gives, built on first read."""
+        return tuple(map(tuple, _grid_rows(*self.grid, self.exact)))
 
     @cached_property
     def _numbers(self) -> Tuple[List[Number], np.ndarray]:
-        """Exact mode: ``_distinct`` of ``grid``, so that each distinct
-        distance becomes a ``Fraction`` once per space; ``dist`` and
-        ``_pair_distances`` read it."""
+        """Exact mode: ``_distinct`` of ``grid``, so that each distinct distance
+        becomes a ``Fraction`` once per space, for ``_pair_distances``."""
         return _distinct(*self.grid, True)
 
     def _key(self) -> tuple:  # equal matrices have equal grids: ``_lattice`` scales by the lcm

@@ -233,10 +233,10 @@ def brute_force_monotone(C: PairSet, space: FiniteMetricSpace) -> bool:
     eps = _cycle_eps(space)
     for k in range(1, len(base) + 1):
         for subset in itertools.combinations(base, k):
-            kept = sum(space.d(x, y) for x, y in subset)
+            kept = left_sum(space.d(x, y) for x, y in subset)
             ys = [y for _, y in subset]
             for perm in itertools.permutations(range(k)):
-                rearranged = sum(space.d(subset[t][0], ys[perm[t]]) for t in range(k))
+                rearranged = left_sum(space.d(subset[t][0], ys[perm[t]]) for t in range(k))
                 if rearranged < kept - eps:
                     return False
     return True

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .metric import FiniteMetricSpace, Functional
-from .numerics import coerce
+from .numerics import coerce, left_sum
 from .transport import _balanced_sides
 
 
@@ -107,7 +107,7 @@ def transport_cost_by_vertex_enumeration(phi: Functional, space: FiniteMetricSpa
             continue
         if any(f < 0 for f in flow.values()):
             continue
-        cost = sum((f * space.d(s, t) for (s, t), f in flow.items()), start=zero)
+        cost = left_sum((f * space.d(s, t) for (s, t), f in flow.items()), zero)
         if best is None or cost < best:
             best = cost
     return best
@@ -143,7 +143,7 @@ def tree_norm(phi: Functional, tree):
     below = list(mass)
     for v in reversed(order[1:]):
         below[up[v][0]] += below[v]
-    norm = sum(up[v][1] * abs(below[v]) for v in order[1:])
+    norm = left_sum(up[v][1] * abs(below[v]) for v in order[1:])
     f = [Fraction(0)] * len(parent)
     for v in order[1:]:
         u, w = up[v]

@@ -47,6 +47,7 @@ from .monotonicity import (
     cycle_slack,
     verify_extremal,
 )
+from .numerics import left_sum
 from .transport import (
     PairMeasure,
     free_norm,
@@ -273,7 +274,7 @@ def _check_support_chains(space, support):
     stack = [[x, y] for (x, y) in support]
     while stack:
         points = stack.pop()
-        total = sum(space.d(points[t], points[t + 1]) for t in range(len(points) - 1))
+        total = left_sum(space.d(points[t], points[t + 1]) for t in range(len(points) - 1))
         checked += 1
         if total != space.d(points[0], points[-1]):
             bad += 1
@@ -349,7 +350,7 @@ def c08_molecule_decomposition(limit: Optional[int]) -> Tuple[bool, str]:
         space = random_space(3 + (i % 9), seed=14000 + i)
         phi = random_functional(space, seed=14500 + i)
         terms = molecule_decomposition(phi, space)
-        total = sum((c for c, _ in terms), start=Fraction(0))
+        total = left_sum((c for c, _ in terms), Fraction(0))
         if total != free_norm(phi, space) or any(c <= 0 for c, _ in terms):
             failures += 1
             continue

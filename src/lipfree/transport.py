@@ -21,6 +21,7 @@ sides of the duality independently of the solver's internals.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -200,10 +201,11 @@ def _solve_min_cost(
     over the reduced costs ``cost + pot[u] - pot[v]``.  That source is found
     by a pointer into the sorted sources that never moves back: a source's
     supply never rises, and ``eps_active`` is fixed for the solve.  Every
-    arc costs d(source, sink): ``space.dist[s][t]`` forward, and
-    ``-space.dist[s][t]`` on the backward arc t -> s, which exists only
-    while s carries flow into t.  ``carriers[t]`` keeps those sources, so a
-    settled sink relaxes only its own backward arcs.
+    arc costs d(source, sink): ``rows[s][t]`` forward, and ``-rows[s][t]``
+    on the backward arc t -> s, which exists only while s carries flow into
+    t.  ``rows[s]`` is indexed by point and holds only the sinks' entries,
+    from one ``_pair_distances`` gather per solve.  ``carriers[t]`` keeps
+    those sources, so a settled sink relaxes only its own backward arcs.
 
     * Order: a heap of ``(key, dist, point)`` entries, the key being the
       distance or in exact mode its float, settles points by the least
@@ -242,7 +244,12 @@ def _solve_min_cost(
     flow: Dict[Pair, Number] = {}
     pot: List[Number] = [zero] * n
     carriers: List[Set[int]] = [set() for _ in range(n)]
-    rows = space.dist
+    costs = iter(_pair_distances(itertools.product(src, snk), space))
+    rows: List[List[Number | None]] = [[]] * n
+    for s in src:
+        rows[s] = row = [None] * n
+        for t, c in zip(snk, costs):
+            row[t] = c
     clamp = not space.exact  # float round-off guard; exact mode never needs it
     # Float totals can disagree by a few ulps: a residue below this is spent.
     eps_active = 0 if space.exact else 1e-12 * (1.0 + float(max(left)))

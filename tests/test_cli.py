@@ -624,3 +624,53 @@ def test_answer_past_float_range_is_input_error(capsys, tmp_path, line_files, co
     assert cli.main([command, "--input", str(space), "--functional", str(phi)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"]["type"] == "OutOfRange"
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("space_doc,coeffs,codes", [
+    pytest.param(  # the potential at b is -10**400; the coupling moves mass 1 from a to o
+        {"labels": ["o", "a", "b"],
+         "dist": [[0, 1, str(_HUGE)], [1, 0, str(_HUGE + 1)], [str(_HUGE), str(_HUGE + 1), 0]]},
+        {"a": 1}, {"norm": 0, "decompose": 0, "potential": 2, "coupling": 2}, id="potential-past-range"),
+    pytest.param(  # the coupling moves mass 10**400 across a distance of 10**-400
+        {"labels": ["o", "a"], "dist": [[0, f"1/{_HUGE}"], [f"1/{_HUGE}", 0]]},
+        {"a": str(_HUGE)}, {"norm": 0, "potential": 0, "decompose": 0, "coupling": 2}, id="coupling-past-range"),
+])
+def test_each_transport_command_builds_only_the_parts_it_prints(capsys, tmp_path, space_doc, coeffs, codes):
+    # The norm is 1 on both spaces; a part past float's range stops only the
+    # commands that print it.
+    space, phi = tmp_path / "space.json", tmp_path / "phi.json"
+    space.write_text(json.dumps(space_doc))
+    phi.write_text(json.dumps({"coeffs": coeffs}))
+    for command, code in codes.items():
+        assert cli.main([command, "--input", str(space), "--functional", str(phi)]) == code, command
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and json.loads(err)["error"]["type"] == "OutOfRange"
+        else:
+            assert err == "" and json.loads(out)["value"] == 1.0
+
+
+_TRANSPORT_KEYS = {
+    "norm": ["value", "value_exact"],
+    "coupling": ["value", "coupling", "representation", "potential", "value_exact"],
+    "potential": ["value", "potential", "value_exact"],
+    "decompose": ["value", "molecules"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TRANSPORT_KEYS))
+def test_transport_commands_print_their_keys_in_order(capsys, tmp_path, line_files, command):
+    # value_exact only in exact mode; a 65-point CSV space loads in float mode.
+    sp = random_space(65, seed=3, exact=False)
+    floats = tmp_path / "floats.csv"
+    floats.write_text(",".join(sp.labels) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in sp.dist))
+    phi = tmp_path / "phi65.json"
+    phi.write_text(json.dumps({"coeffs": {"1": 2, "7": -1}}))
+    exact_keys = _TRANSPORT_KEYS[command]
+    float_keys = [k for k in exact_keys if k != "value_exact"]
+    for (space, functional), keys in ((line_files, exact_keys), ((floats, phi), float_keys)):
+        assert cli.main([command, "--input", str(space), "--functional", str(functional)]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == keys

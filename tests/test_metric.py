@@ -903,17 +903,16 @@ def _reader_space(kind):
 
 @pytest.mark.parametrize("kind", ["int64", "object", "float"])
 def test_distance_readers_gather_from_the_grid_as_space_d_reads(kind):
-    # Every reader outside the two solver loops gathers from space.grid and
-    # builds no dist; each answer equals, repr for repr, its formula through
-    # space.d on a second, equal space.  The transport solve reads dist, so
-    # the inputs come from a third space.
-    space, ref, other = (_reader_space(kind) for _ in range(3))
-    assert space == ref == other and (space.grid[0].dtype == object) == (kind == "object")
+    # Every reader, the transport solve included, gathers from space.grid
+    # and builds no dist; each answer equals, repr for repr, its formula
+    # through space.d on a second, equal space.
+    space, ref = _reader_space(kind), _reader_space(kind)
+    assert space == ref and (space.grid[0].dtype == object) == (kind == "object")
     d, cmp, zero = ref.d, ref.cmp, coerce(0, ref.exact)
-    phi = random_functional(other, seed=5)
-    result = optimal_coupling(phi, other)
+    phi = random_functional(space, seed=5)
+    result = optimal_coupling(phi, space)
     rep, f = result.representation, result.potential
-    signed = PairMeasure({(1, 2): 3, (2, 4): -1, (5, 0): F(1, 2), (3, 7): F(-2, 3)}, other)
+    signed = PairMeasure({(1, 2): 3, (2, 4): -1, (5, 0): F(1, 2), (3, 7): F(-2, 3)}, space)
     C = PairSet.of([(x, 0) for x in range(1, ref.n)], ref)
     cycle = ((1, 2), (2, 1), (4, 3))
 
@@ -978,10 +977,10 @@ def test_distance_readers_gather_from_the_grid_as_space_d_reads(kind):
 
 @pytest.mark.parametrize("kind", ["int64", "object"])
 def test_each_distinct_distance_is_one_number_per_space(kind):
-    # _pair_distances and dist read one table of the space's distinct
-    # distances, so repeated reads share each Fraction instead of building it.
+    # _pair_distances reads one table of the space's distinct distances, so
+    # repeated reads share each Fraction instead of building it.
     space = _reader_space(kind)
     pairs = list(space.pairs())
     first, again = _pair_distances(pairs, space), _pair_distances(pairs, space)
     assert first == again == [space.d(x, y) for x, y in pairs]
-    assert len(set(map(id, first + again + [space.dist[x][y] for x, y in pairs]))) == len(set(first))
+    assert len(set(map(id, first + again))) == len(set(first))

@@ -428,3 +428,15 @@ def test_solver_tables_match_the_dict_based_solver(monkeypatch, name, coeffs, sp
     result = optimal_coupling(phi, space)
     monkeypatch.setattr(transport, "_solve_min_cost", _reference_solve_min_cost)
     assert repr(result) == repr(optimal_coupling(phi, space))
+
+
+def test_a_full_support_float_solve_builds_no_dist_view():
+    # The solver gathers its arc costs from the lattice, so the n x n view
+    # stays unbuilt; tests/test_metric.py's reader test covers the exact
+    # int64 and object lattices and a small float space.
+    space = random_space(256, seed=7, exact=False)
+    rng = random.Random(7)
+    phi = Functional({i: rng.choice((-3, -2, -1, 1, 2, 3)) for i in range(1, 256)}, space)
+    result = optimal_coupling(phi, space)
+    assert "dist" not in vars(space)
+    assert space.cmp.eq(result.value, evaluate(phi, result.potential))
