@@ -18,8 +18,9 @@ both trees answer the same questions.  Families:
 
 - ``validate_metric`` and ``load_space``: valid and broken matrices (each
   axiom, triangles, non-finite and non-numeric cells) in exact, float and
-  automatic mode, the latter from JSON and CSV files, and numpy int64
-  matrices in each mode;
+  automatic mode, the latter from JSON and CSV files, the float ones also
+  scaled by 2**-40 and 2**-80 in float mode, and numpy int64 matrices in
+  each mode;
 - ``embedding``: Frechet and local-search reports;
 - ``transport``: ``optimal_coupling`` results and molecule decompositions
   on exact, float and two-distance spaces, with full and partial support,
@@ -34,8 +35,9 @@ both trees answer the same questions.  Families:
   ``optimal_coupling`` on exact tree spaces with Steiner points;
 - ``monotonicity``: cyclical-monotonicity certificates on random,
   geodesic, reversed-geodesic, one-pair and repeated-pair sets in both
-  modes, on the solver spaces and on an exact space whose lattice holds
-  Python ints (``object``), ``cycle_slack`` of each violating cycle, and
+  modes, on the solver spaces, on an exact space whose lattice holds
+  Python ints (``object``) and on the float copy of an exact space scaled
+  by 2**-45, ``cycle_slack`` of each violating cycle, and
   ``build_extremal_potential`` of every set: the potential with its
   ``verify_extremal`` verdict, or the ``NotMonotone`` certificate;
 - ``metric``: ``rho``, ``de_leeuw_transform``, molecules, ``daleth``,
@@ -87,16 +89,17 @@ _CLAMP_SEEDS = (23, 36, 58, 54, 27, 26)
 #: solver spaces, the seeds per size, the largest pair set, the number of
 #: random CSV texts, the float CSV spaces with the functionals on each, the
 #: size of the spaces scaled near the ends of float's range, the size of
-#: the exact ``object``-lattice space of the monotonicity family, the sizes
-#: of the tie-heavy transport spaces, the clamp seeds, the size of the
-#: full-support float transport case, and the number of random float bit
-#: patterns given to ``coerce``.
+#: the exact ``object``-lattice space of the monotonicity family and of its
+#: float space with distances near 2**-45, the sizes of the tie-heavy
+#: transport spaces, the clamp seeds, the size of the full-support float
+#: transport case, and the number of random float bit patterns given to
+#: ``coerce``.
 SCALES = {
     "tiny": {"validate": (3, 9), "exact": (6,), "float": (66,), "seeds": 1, "pairs": 12, "csv_texts": 8,
-             "csv": (66,), "csv_functionals": 1, "scaled": 4, "huge": 6,
+             "csv": (66,), "csv_functionals": 1, "scaled": 4, "huge": 6, "small": 6,
              "ties": (7,), "clamp": _CLAMP_SEEDS[:2], "full_support": 66, "bits": 64, "trees": (9,)},
     "full": {"validate": (3, 9, 20, 33, 64, 65, 130), "exact": (8, 20, 40, 64), "float": (66, 100, 128), "seeds": 3,
-             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24, "scaled": 12, "huge": 20,
+             "pairs": 40, "csv_texts": 200, "csv": (65, 97, 128), "csv_functionals": 24, "scaled": 12, "huge": 20, "small": 20,
              "ties": (7, 16, 33), "clamp": _CLAMP_SEEDS, "full_support": 128, "bits": 4000,
              "trees": (9, 17, 33, 48, 64)},
 }
@@ -104,6 +107,10 @@ SCALES = {
 #: Powers of two that put a closure's distances near both ends of float's
 #: range: past it, subnormal, normal and near the largest float.
 _SCALE_EXPONENTS = (-1100, -1074, -1060, -1022, 0, 1000, 1017, 1030)
+
+#: Powers of two that scale the float validation matrices far below 1, where
+#: a threshold that does not follow the distances rejects a valid space.
+_SMALL_EXPONENTS = (-40, -80)
 
 
 # --- the corpus, run inside the child interpreter ---------------------------------
@@ -444,6 +451,10 @@ def corpus(scale):
     for k, (name, rows) in enumerate(_matrices(sizes["validate"], rng)):
         for mode in (None, True, False):
             yield "validate_metric", f"{name}/exact={mode}", _outcome(lambda: _space_key(lf.validate_metric(rows, exact=mode)))
+        if name.startswith("float"):
+            for e in _SMALL_EXPONENTS:
+                small = [[v * 2.0**e if type(v) is float else v for v in r] for r in rows]
+                yield "validate_metric", f"{name}*2**{e}", _outcome(lambda: _space_key(lf.validate_metric(small, exact=False)))
         for path in _write_space(f"m{k}", rows):
             for mode in (None, True, False):
                 yield "load_space", f"{name}/{path}/exact={mode}", _outcome(lambda: _space_key(lfio.load_space(path, exact=mode)))
@@ -503,6 +514,10 @@ def corpus(scale):
     n = sizes["huge"]  # distances near 2**62 * 48 / 7: the lattice and the pair graph hold Python ints
     huge = lf.validate_metric([[Fraction(v * (2**62 + 1), 7) for v in r] for r in _closure(n, rng)])
     yield from _monotonicity_cases(lf, f"huge{n}", huge, rng, sizes["pairs"])
+    small_rng = np.random.default_rng(20261026)  # its own stream, so that the cases above keep theirs
+    n = sizes["small"]
+    small = lf.validate_metric([[Fraction(v, 12) * Fraction(2) ** -45 for v in r] for r in _closure(n, small_rng)])
+    yield from _monotonicity_cases(lf, f"small{n}", small.with_mode(exact=False), small_rng, sizes["pairs"])
 
     scaled_rng = np.random.default_rng(20261024)
     for name, space in _scaled_spaces(lf, rng, sizes["scaled"]):
