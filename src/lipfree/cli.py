@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if pairs:
             p.add_argument("--pairs", required=True, help="pair set JSON")
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                       help="absolute tolerance in float mode")
+                       help="float-mode tolerance, relative to the largest distance")
         p.add_argument("--exact", action="store_true",
                        help="force exact rational arithmetic")
         p.add_argument("--out", help="write the result here instead of stdout")

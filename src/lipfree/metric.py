@@ -149,14 +149,19 @@ class FiniteMetricSpace:
     def with_mode(self, exact: bool) -> "FiniteMetricSpace":
         """Same space, tolerance included, with its numbers converted to the
         other arithmetic mode, each distinct distance once, by ``coerce``:
-        an exact one to float correctly rounded, and inf past float's range.
+        an exact one to float correctly rounded, and inf past float's range;
+        one that rounds to 0.0 raises ``ZeroOffDiagonal`` (first pair i < j).
 
         The converted space is not validated again.  Float to exact reads
         each rounded float as its decimal literal, and those rationals can
         break a triangle: for most float ``random_space`` instances the
         result fails ``validate_grid(exact=True)`` with ``TriangleViolation``."""
         values, where = _distinct(*self.grid, self.exact)
-        return FiniteMetricSpace(self.labels, _grid_of(values, where, exact), exact, self.tol)
+        a, scale = _grid_of(values, where, exact)
+        zero = np.triu(a == 0, 1)
+        if zero.any():
+            raise ZeroOffDiagonal(*(int(x) for x in np.argwhere(zero)[0]))
+        return FiniteMetricSpace(self.labels, (a, scale), exact, self.tol)
 
 
 def validate_metric(
@@ -169,9 +174,9 @@ def validate_metric(
     """Check the four metric axioms and return the validated space.
 
     ``exact=None`` selects exact rational arithmetic for spaces with at
-    most 64 points and floats otherwise.  Float distances must be finite.
-    Float triangles may fail by up to ``tol * max(1, largest distance)``;
-    other float comparisons use ``tol``.  The error raised on failure names
+    most 64 points and floats otherwise.  Float distances must be finite,
+    and each float check allows ``tol`` times the largest distance (see
+    ``validate_grid``).  The error raised on failure names
     the violated axiom and a witness; a triangle witness is the
     lexicographically first violating (i, j, k).
     """
@@ -213,20 +218,20 @@ def validate_grid(
     ``matrix_labels`` returns them; the space they validate keeps ``a``
     (its diagonal zeroed, read-only) as its grid, and builds no ``dist``.
 
-    One code path for both modes: integers compare with tolerance 0,
-    floats as the Comparator does, ``abs(x - y) <= tol``.
+    One code path for both modes, one threshold t for every check: 0 for
+    integers, ``tol * max|a|`` for floats, so that no verdict has a unit.
     """
-    t = 0 if exact else tol
     if not exact:
         bad = ~np.isfinite(a)
         if bad.any():
             raise NonFiniteDistance(*(int(x) for x in np.argwhere(bad)[0]))
+    t = 0 if exact else tol * float(np.abs(a).max())
     bad = ~(np.abs(a.diagonal()) <= t)
     if bad.any():
         i = int(np.argmax(bad))
         raise NegativeDistance(i, i) if a[i, i] < 0 else NonzeroDiagonal(i)
     np.fill_diagonal(a, 0)
-    with np.errstate(over="ignore"):  # a difference that overflows is not within tol
+    with np.errstate(over="ignore"):  # a difference that overflows is not within t
         asym = ~(np.abs(a - a.T) <= t)
     neg = a < 0
     bad = np.triu(asym | neg | (np.abs(a) <= t), 1)
@@ -236,7 +241,7 @@ def validate_grid(
             raise AsymmetricMatrix(i, j)
         raise NegativeDistance(i, j) if neg[i, j] else ZeroOffDiagonal(i, j)
 
-    witness = _triangle_witness(a, 0 if exact else tol * max(1.0, float(a.max())))
+    witness = _triangle_witness(a, t)
     if witness is not None:
         raise TriangleViolation(*witness)
 
@@ -270,7 +275,7 @@ def _triangle_witness(a: np.ndarray, threshold: Number) -> Tuple[int, int, int] 
     that failed only at some k < k0 would make row k fail, and row k
     either lies in an earlier block, which did not fail, or was dropped by
     the sound screen.  A matrix asymmetric by any amount, such as a float
-    one within ``tol``, reads every column (k0 = 0).  A block takes
+    one within the threshold, reads every column (k0 = 0).  A block takes
     ``max(1, 65536 // (n * (n - k0)))`` rows: at most 65536 sums (512 KB
     of 8-byte entries) unless one row holds more, so a block stays in
     cache and its memory is bounded, while a small matrix takes few numpy

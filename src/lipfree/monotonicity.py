@@ -12,7 +12,7 @@ both come from one min-plus fixpoint on the lattice (``_min_plus_fixpoint``);
 the Bellman-Ford core names the cycle of a set that does not settle, and
 answers every set in float mode.
 
-In float mode, with eps = FLOAT_CYCLE_EPS * max(1, largest distance), a
+In float mode, with eps = FLOAT_CYCLE_EPS * largest distance (no unit), a
 negative verdict needs a cycle of k pairs whose weight is below -k * eps,
 and the reported cycle always has slack below -eps; cycles of zero weight
 up to round-off count as monotone.
@@ -122,9 +122,9 @@ def cycle_slack(cycle: Sequence[Pair], space: FiniteMetricSpace) -> Number:
 
 
 def _cycle_eps(space: FiniteMetricSpace) -> Number:
-    """Slack a violating cycle must fall below; in float mode it scales with
-    the distances, as the round-off of their sums does."""
-    return 0 if space.exact else FLOAT_CYCLE_EPS * max(1.0, float(space.grid[0].max()))
+    """Slack a violating cycle must fall below; in float mode a fixed share
+    of the largest distance, as the round-off of distance sums scales."""
+    return 0 if space.exact else FLOAT_CYCLE_EPS * float(space.grid[0].max())
 
 
 def _min_plus_fixpoint(weight: np.ndarray, dist: np.ndarray) -> Optional[np.ndarray]:
@@ -186,12 +186,12 @@ def check_cyclically_monotone(C: PairSet, space: FiniteMetricSpace) -> CycleCert
     permutation is a product of disjoint cycles.  An exact set whose
     ``_min_plus_fixpoint`` from zeros settles is monotone, with no
     ``Fraction`` built; otherwise ``_bellman_ford`` names a violating cycle,
-    whose slack is recomputed from the distances.  In
-    float mode every arc weight is first raised by
-    eps = FLOAT_CYCLE_EPS * max(1, largest distance of the space), so that
-    round-off cannot make a zero-weight cycle look negative at any scale: a
-    cycle of k pairs counts as violating only when its weight lies below
-    -k * eps, and a reported cycle always has slack below -eps.
+    whose slack is recomputed from the distances.  In float mode every arc
+    weight is first raised by eps = FLOAT_CYCLE_EPS * largest distance, so
+    that round-off cannot make a zero-weight cycle look negative, nor a
+    cycle among small distances look monotone, at any scale: a cycle of k
+    pairs counts as violating only when its weight lies below -k * eps, and
+    a reported cycle always has slack below -eps.
     """
     if not C.pairs:
         return CycleCertificate(monotone=True)

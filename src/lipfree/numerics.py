@@ -3,8 +3,8 @@
 Exact mode represents all quantities as :class:`fractions.Fraction`
 (and integer lattices), so its answers are bit-exact; ``Fraction``'s own
 parser reads a float as its decimal literal ``str(value)`` (``0.1`` means
-``1/10``).  Certificate checks compare through a :class:`Comparator`,
-which adds a single absolute tolerance in float mode and none in exact mode.
+``1/10``).  Certificate checks compare through a :class:`Comparator`, which
+adds one absolute tolerance to values in float mode and none in exact mode.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ def coerce(value: Number, exact: bool) -> Number:
 class Comparator:
     """Single point of truth for numeric comparisons.
 
-    ``tol`` is an absolute tolerance and is ignored in exact mode.
+    ``tol`` is absolute (ignored in exact mode): it compares values and
+    Lipschitz constants, not distances, whose thresholds scale with them.
     """
 
     exact: bool = True

@@ -1,13 +1,14 @@
-"""Standing defects, three of them pinned as strict xfails, and the guard
-of one that is mended.
+"""Standing defects, two of them pinned as strict xfails, and the guards
+of two that are mended.
 
 Each test asserts the behaviour the ROADMAP item asks for.  Until the item
 is mended the test fails, and the xfail holds; the change that mends it
 makes the test pass, which a strict marker reports as a failure, so that
-change must remove the marker and keep the test as the mend's guard.  The
-float extremal potential near 6e18 (item 5) is mended: ``verify_extremal``
-now tests the incremental quotient against 1, as ``norming_functions_check``
-does.
+change must remove the marker and keep the test as the mend's guard.  Two
+item-5 defects are mended: the float extremal potential near 6e18
+(``verify_extremal`` now tests the incremental quotient against 1, as
+``norming_functions_check`` does), and float validation at scale 1e-9
+(every float distance threshold is ``tol`` times the largest distance).
 """
 
 import json
@@ -25,7 +26,6 @@ from lipfree import (
 )
 from lipfree import io as lfio
 from lipfree.instances import random_space
-from lipfree.metric import ZeroOffDiagonal
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a float space file holds 12-digit distances and no "
@@ -41,9 +41,6 @@ def test_float_space_json_reloads_as_the_space_written(tmp_path):
         assert lfio.load_space(str(path)) == space
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: float validation compares distances with an absolute "
-                   "tolerance, so a valid space scaled by 1e-9 raises ZeroOffDiagonal",
-                   raises=ZeroOffDiagonal)
 def test_float_validation_accepts_a_valid_space_at_any_scale():
     rows = random_space(20, 0, exact=False).dist
     for scale in (1e-6, 1e-9):

@@ -2,9 +2,10 @@
 answer.  Written as JSON or as CSV, an exact space gives the CLI the same
 exit codes and the same bytes; an integer-distance space gives the same
 norms and verdicts in exact and in float mode.  Relabelling the non-base
-points, scaling the distances by a rational c > 0, restricting the space to
-supp phi and the base point, and moving the base point under a balanced
-functional change the answers only as the mathematics says they must."""
+points, scaling the distances by a rational c > 0 (a float space by 2**k,
+valid or broken), restricting the space to supp phi and the base point, and
+moving the base point under a balanced functional change the answers only
+as the mathematics says they must."""
 
 import contextlib
 import io
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from lipfree import cli
 from lipfree import io as lfio
 from lipfree.instances import monotone_pair_set, random_functional, random_pair_set, random_space
-from lipfree.metric import Functional, validate_metric
+from lipfree.metric import Functional, MetricError, validate_metric
 from lipfree.monotonicity import PairSet, build_extremal_potential, check_cyclically_monotone
 from lipfree.numerics import exact_repr
 from lipfree.transport import free_norm, optimal_coupling
@@ -127,6 +128,49 @@ def test_scaling_the_distances_scales_every_value_and_keeps_every_choice(n, seed
     cert, scaled_cert = (check_cyclically_monotone(pairs, sp) for sp in (space, scaled))
     assert (scaled_cert.monotone, scaled_cert.cycle) == (cert.monotone, cert.cycle)
     assert scaled_cert.slack == (None if cert.monotone else c * cert.slack)
+
+
+def _float_validation(a):
+    """``validate_metric`` of the float matrix ``a``: the space, or the error class and witness."""
+    try:
+        return validate_metric(a.tolist(), exact=False)
+    except MetricError as exc:
+        return type(exc), exc.witness
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    seed=st.integers(0, 10**6),
+    k=st.integers(-900, 900),
+    broken=st.sampled_from([None, "triangle", "asymmetry", "zero"]),
+)
+def test_scaling_a_float_space_by_a_power_of_two_scales_every_answer(n, seed, k, broken):
+    # Multiplying a float by 2**k is exact in this range, so the float
+    # thresholds, relative to the largest distance, decide alike at any scale.
+    a = random_space(n, seed, exact=False).grid[0].copy()
+    i, j, m = sorted(random.Random(seed).sample(range(n), 3))
+    if broken == "triangle":
+        a[i, m] = a[m, i] = a[i, j] + a[j, m] + 1 / 12
+    elif broken == "asymmetry":
+        a[i, j] += 1 / 12
+    elif broken == "zero":
+        a[i, j] = a[j, i] = 0.0
+    c = 2.0**k
+    space, scaled = _float_validation(a), _float_validation(a * c)
+    if broken:
+        assert space == scaled and space[0] is not None
+        return
+    assert (scaled.grid[0] == c * space.grid[0]).all()
+    for pairs in (monotone_pair_set(space, seed).pairs, random_pair_set(space, seed, n).pairs):
+        cert, scaled_cert = (check_cyclically_monotone(PairSet.of(pairs, sp), sp) for sp in (space, scaled))
+        assert (scaled_cert.monotone, scaled_cert.cycle) == (cert.monotone, cert.cycle)
+        assert scaled_cert.slack == (None if cert.monotone else c * cert.slack)
+    phi = random_functional(space, seed)
+    result, other = optimal_coupling(phi, space), optimal_coupling(Functional(phi.coeffs, scaled), scaled)
+    assert other.coupling == result.coupling and other.value == c * result.value
+    assert other.representation == result.representation.scaled(c)
+    assert other.potential.values == tuple(c * v for v in result.potential.values)
 
 
 @settings(max_examples=15, deadline=None)

@@ -89,8 +89,10 @@ def test_validate_rejects_each_axiom():
 
 def _first_axiom_failure(m, exact, tol=1e-9):
     """Reference scan for every axiom but the triangle: the error class and
-    witness validate_metric must raise, or None."""
-    eq = (lambda a, b: a == b) if exact else (lambda a, b: abs(a - b) <= tol)
+    witness validate_metric must raise, or None.  Float mode compares within
+    ``tol`` times the largest entry's magnitude, exact mode with equality."""
+    t = tol * max(abs(v) for row in m for v in row)
+    eq = (lambda a, b: a == b) if exact else (lambda a, b: abs(a - b) <= t)
     n = len(m)
     for i in range(n):
         if not eq(m[i][i], 0):
@@ -388,6 +390,19 @@ def test_with_mode_to_float_rounds_each_exact_distance_once():
     assert fsp.d(0, 1) == float(p.numerator / p.denominator) and fsp.d(0, 3) == math.inf
 
 
+def test_with_mode_to_float_rejects_a_distance_that_rounds_to_zero():
+    # 1/10**400 and 2**-1075 (a tie, to even) round to 0.0; 2**-1074, the
+    # smallest subnormal, does not.  The witness is the row-major first pair.
+    for x in (F(1, 10**400), F(1, 2**1075)):
+        sp = validate_metric([[0, 1, 1, 1], [1, 0, x, x], [1, x, 0, x], [1, x, x, 0]])
+        with pytest.raises(ZeroOffDiagonal) as exc:
+            sp.with_mode(exact=False)
+        assert exc.value.witness == (1, 2)
+    x = F(1, 2**1074)
+    fsp = validate_metric([[0, 1, 1], [1, 0, x], [1, x, 0]]).with_mode(exact=False)
+    assert fsp.d(1, 2) == float(x) == 5e-324
+
+
 def test_with_mode_keeps_the_tolerance():
     sp = validate_metric(random_space(5, 0).dist, tol=1e-6)
     fsp = sp.with_mode(exact=False)
@@ -565,8 +580,8 @@ def _triangle_reference(a, threshold):
 
 def _dyadic_metric(n, seed):
     """A shortest-path closure of integer weights times 2**-7: every sum and
-    difference below is exact in float64, and the largest distance is below
-    1, so the float triangle threshold equals ``tol``."""
+    difference below is exact in float64, and so is the float triangle
+    threshold, a power-of-two ``tol`` times the largest distance."""
     rng = np.random.default_rng(seed)
     w = rng.integers(1, 64, size=(n, n))
     w = np.minimum(w, w.T)
@@ -580,18 +595,21 @@ def _dyadic_metric(n, seed):
 def test_triangle_prefilter_at_and_past_threshold(i, k):
     tol = 2.0**-20
     a = _dyadic_metric(128, seed=i)
+    largest = a.max()
+    t = tol * largest  # validate_grid's float threshold
     # Raise d(i, k) to the shortest detour plus the threshold: every triangle
-    # through (i, k) then has slack of at least -tol, and equal to -tol on
-    # the best detour.
+    # through (i, k) then has slack of at least -t, and equal to -t on the
+    # best detour.  d(i, k) stays below the largest distance, so t stays.
     detour = min(a[i, j] + a[j, k] for j in range(128) if j not in (i, k))
-    a[i, k] = a[k, i] = detour + tol
-    assert a.max() < 1 and (a[i, :, None] + a - a[i, None, :]).min() == -tol
-    assert _triangle_witness(a, tol) is None
-    assert validate_metric(a.tolist(), exact=False, tol=tol).d(i, k) == detour + tol
-    a[i, k] = a[k, i] = np.nextafter(detour + tol, 2.0)
-    witness = _triangle_reference(a, tol)
+    a[i, k] = a[k, i] = detour + t
+    assert a.max() == largest and (a[i, :, None] + a - a[i, None, :]).min() == -t
+    assert _triangle_witness(a, t) is None
+    assert validate_metric(a.tolist(), exact=False, tol=tol).d(i, k) == detour + t
+    a[i, k] = a[k, i] = np.nextafter(detour + t, 2.0)
+    assert a.max() == largest
+    witness = _triangle_reference(a, t)
     assert witness is not None and witness[0] == i
-    assert _triangle_witness(a, tol) == witness
+    assert _triangle_witness(a, t) == witness
     with pytest.raises(TriangleViolation) as exc:
         validate_metric(a.tolist(), exact=False, tol=tol)
     assert exc.value.witness == witness
@@ -647,11 +665,16 @@ def test_triangle_screen_matches_full_mask():
 
 
 def test_triangle_screen_on_float_matrices_asymmetric_within_tol():
-    # Every distance near 3/8, symmetric only to within tol, except a short
-    # detour i -> j -> k of 1/4 + 1/4 whose reverse legs are longer: r[i]
-    # and c[k] are attained on the detour, so raising d(i, k) to the
-    # threshold and one ulp past it puts the screen on its boundary.
+    # Every distance near 3/8, symmetric only to within the threshold,
+    # except a short detour i -> j -> k of 1/4 + 1/4 whose reverse legs are
+    # longer: r[i] and c[k] are attained on the detour, so raising d(i, k)
+    # to the threshold and one ulp past it puts the screen on its boundary.
+    # d(i, k) is the largest distance, so the threshold is tol * d(i, k),
+    # and d(i, k) is on it when 1/2 - d(i, k) >= -tol * d(i, k).
     tol = 2.0**-20
+    on = 1 / 2 / (1 - tol)
+    while 1 / 2 - on < -(tol * on):
+        on = np.nextafter(on, 0.0)
     rng = np.random.default_rng(4)
     for trial in range(40):
         n = int(rng.integers(3, 30))
@@ -660,11 +683,12 @@ def test_triangle_screen_on_float_matrices_asymmetric_within_tol():
         i, j, k = (int(x) for x in rng.choice(n, size=3, replace=False))
         a[i, j] = a[j, k] = 1 / 4
         a[j, i] = a[k, j] = 1 / 4 + 2.0**-22
-        for a_ik, violated in ((1 / 2 + tol, False), (np.nextafter(1 / 2 + tol, 1.0), True)):
+        for a_ik, violated in ((on, False), (np.nextafter(on, 1.0), True)):
             a[i, k] = a[k, i] = a_ik
-            witness = _triangle_reference(a, tol)
+            t = tol * a_ik
+            witness = _triangle_reference(a, t)
             assert (witness is not None) == violated
-            assert _triangle_witness(a, tol) == witness
+            assert _triangle_witness(a, t) == witness
             try:
                 validate_metric(a.tolist(), exact=False, tol=tol)
             except TriangleViolation as exc:
@@ -757,13 +781,16 @@ def test_asymmetric_float_violation_left_of_the_block_start(i, k):
     # row i would not read if it took the matrix for symmetric.
     tol = 2.0**-20
     a = _dyadic_metric(128, seed=i)
+    largest = a.max()
+    t = tol * largest  # validate_grid's float threshold; d(i, k) stays below the largest distance
     detour = min(a[i, j] + a[j, k] for j in range(128) if j not in (i, k))
-    a[i, k] = a[k, i] = detour + tol
-    assert _triangle_witness(a, tol) is None
-    a[i, k] = np.nextafter(detour + tol, 2.0)
-    witness = _triangle_reference(a, tol)
+    a[i, k] = a[k, i] = detour + t
+    assert _triangle_witness(a, t) is None
+    a[i, k] = np.nextafter(detour + t, 2.0)
+    assert a.max() == largest
+    witness = _triangle_reference(a, t)
     assert witness is not None and witness[0] == i and witness[2] == k
-    assert _triangle_witness(a, tol) == witness
+    assert _triangle_witness(a, t) == witness
     with pytest.raises(TriangleViolation) as exc:
         validate_metric(a.tolist(), exact=False, tol=tol)
     assert exc.value.witness == witness

@@ -161,7 +161,7 @@ def test_checker_agrees_with_bruteforce_exhaustively_small():
         rows = [[v * scale for v in row] for row in sp.dist]
         cases.append((validate_metric(rows, exact=False), validate_metric(rows, exact=True)))
     for s, truth in cases:
-        eps = 0 if s.exact else FLOAT_CYCLE_EPS * max(1.0, max(map(max, s.dist)))
+        eps = 0 if s.exact else FLOAT_CYCLE_EPS * max(map(max, s.dist))
         for pairs in sets:
             C = PairSet.of(pairs, s)
             cert = check_cyclically_monotone(C, s)
