@@ -219,7 +219,7 @@ def validate_grid(
     (its diagonal zeroed, read-only) as its grid, and builds no ``dist``.
 
     One code path for both modes, one threshold t for every check: 0 for
-    integers, ``tol * max|a|`` for floats, so that no verdict has a unit.
+    integers, ``tol * max|a|`` for floats, so no verdict depends on the unit.
     """
     if not exact:
         bad = ~np.isfinite(a)
